@@ -181,7 +181,6 @@ def kominis_weights(t: float, k_s: float) -> tuple[float, float]:
 
 # scheme-name strings used by the CLI and the verification suite
 WEIGHT_SCHEMES = ("corrected", "kominis")
-DISPUTED_SCHEME = "kominis"
 
 
 def weights_at(t: float, mix: MixtureState, k_s: float, scheme: str) -> tuple[float, float]:

@@ -132,7 +132,7 @@ def rhs_normalized_jones_hore(rho_nr: DensityMatrix, params: RateParams) -> np.n
     _check_normalized(rho_nr)
     m = rho_nr.matrix
     projected = rho_nr.space.triplet_mask * m
-    tr_t = np.trace(projected).real
+    tr_t = projected.trace().real
     return -params.k_s * (tr_t * m - projected)
 
 
@@ -154,7 +154,7 @@ def rhs_normalized_kominis(
     _check_normalized(rho_nr)
     m = rho_nr.matrix
     projected = rho_nr.space.triplet_mask * m
-    tr_t = np.trace(projected).real
+    tr_t = projected.trace().real
     if tr_t < denom_floor:
         raise ModelSingular(
             f"triplet population {tr_t:.3e} below floor {denom_floor:.1e}; "
@@ -198,7 +198,7 @@ def rhs_function(
 
         def f_normalized_jh(m: np.ndarray) -> np.ndarray:
             projected = tt_mask * m
-            return -k * (np.trace(projected).real * m - projected)
+            return -k * (projected.trace().real * m - projected)
 
         return f_normalized_jh
 
@@ -206,7 +206,7 @@ def rhs_function(
 
         def f_normalized_kominis(m: np.ndarray) -> np.ndarray:
             projected = tt_mask * m
-            tr_t = np.trace(projected).real
+            tr_t = projected.trace().real
             if tr_t < DENOM_FLOOR:
                 raise ModelSingular(
                     f"triplet population {tr_t:.3e} below floor {DENOM_FLOOR:.1e}; "

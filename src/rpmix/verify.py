@@ -17,6 +17,13 @@ nonzero, because a confirmed discrepancy is the expected outcome.
 
 All deviations are Frobenius distances at grid points; a check's
 tolerance scales as dt^4 when the fixed integration step is changed.
+
+Route B is integrated once per scenario (:func:`route_b`) and that one
+trajectory is shared by every check that judges it; each such check
+takes it as an argument and reads its grid from ``traj.times``.
+:func:`run_scenario` turns every library error into a failed check that
+names its cause; a failure of route B itself is recorded under each
+check that depends on it.
 """
 
 from __future__ import annotations
@@ -28,6 +35,8 @@ import numpy as np
 from .integrator import IntegrationError, Trajectory, analytic_jones_hore, integrate
 from .kinetics import (
     P_FLOOR,
+    AllReacted,
+    MixtureInconsistent,
     mixture_from_initial,
     mixture_rhs,
     reconstruct,
@@ -37,6 +46,7 @@ from .kinetics import (
 from .models import ModelKind, ModelSingular, RateParams, rhs_normalized_jones_hore
 from .spinspace import (
     DensityMatrix,
+    NormalizationSingular,
     electron_pair_space,
     frobenius_distance,
     normalize,
@@ -51,6 +61,11 @@ BASE_DT_SCALE = 1e-3  # reference step is 1e-3 / k_S
 DISCREPANCY_MARGIN = 10.0  # "significantly nonzero" = margin x tolerance
 FD_STEP_SCALE = 1e-5
 FD_TOL = 1e-6
+
+# errors run_scenario records as a failed check instead of propagating
+CONTAINED_ERRORS = (
+    ModelSingular, IntegrationError, NormalizationSingular, AllReacted, MixtureInconsistent, ValueError,
+)
 
 
 @dataclass(frozen=True)
@@ -150,7 +165,12 @@ def _tolerance(k_s: float, dt: float | None) -> float:
     return BASE_TOL * (step * k_s / BASE_DT_SCALE) ** 4
 
 
-def _route_b(rho_init: DensityMatrix, k_s: float, grid, dt: float | None) -> Trajectory:
+def route_b(rho_init: DensityMatrix, k_s: float, grid, dt: float | None) -> Trajectory:
+    """Route B: the normalized-jh flow integrated with fixed RK4 steps over the grid.
+
+    The step is dt, or 1e-3 / k_S when dt is None; pass the same dt to
+    the checks that judge the trajectory, since it sets their tolerance.
+    """
     return integrate(
         ModelKind.NORMALIZED_JONES_HORE,
         rho_init,
@@ -167,11 +187,10 @@ def _max_over_grid(times, deviations) -> tuple[float, float]:
 
 
 def check_route_equivalence(
-    rho_init: DensityMatrix, k_s: float, grid, dt: float | None = None
+    rho_init: DensityMatrix, k_s: float, traj: Trajectory, dt: float | None = None
 ) -> CheckRecord:
-    """Normalized exact unnormalized solution vs directly integrated normalized flow."""
+    """Normalized exact unnormalized solution vs route B, the integrated normalized flow."""
     params = RateParams(k_s=k_s)
-    traj = _route_b(rho_init, k_s, grid, dt)
     deviations = [
         frobenius_distance(normalize(analytic_jones_hore(rho_init, params, t)), state)
         for t, state in zip(traj.times, traj.states)
@@ -184,11 +203,11 @@ def check_route_equivalence(
 def check_mixture_identity(
     rho_init: DensityMatrix,
     k_s: float,
-    grid,
+    traj: Trajectory,
     dt: float | None = None,
     scheme: str = "corrected",
 ) -> CheckRecord:
-    """Kinetic-mixture reconstruction vs the integrated normalized flow.
+    """Kinetic-mixture reconstruction vs route B, the integrated normalized flow.
 
     Also compares the mixture's derivative against the normalized flow's
     right-hand side at every grid point. With the corrected weights both
@@ -197,7 +216,6 @@ def check_mixture_identity(
     """
     params = RateParams(k_s=k_s)
     mix = mixture_from_initial(rho_init)
-    traj = _route_b(rho_init, k_s, grid, dt)
     state_devs = []
     rhs_devs = []
     for t, state in zip(traj.times, traj.states):
@@ -226,9 +244,9 @@ def check_mixture_identity(
 
 
 def check_kominis_discrepancy(
-    rho_init: DensityMatrix, k_s: float, grid, dt: float | None = None
+    rho_init: DensityMatrix, k_s: float, traj: Trajectory, dt: float | None = None
 ) -> tuple[CheckRecord, DivergenceCurve]:
-    """Quantify how far the disputed weights drift from the normalized flow.
+    """Quantify how far the disputed weights drift from route B, the normalized flow.
 
     Passes when the divergence is significantly nonzero (at least
     DISCREPANCY_MARGIN times the integration tolerance) and the disputed
@@ -240,13 +258,12 @@ def check_kominis_discrepancy(
         raise ValueError(
             f"discrepancy check requires 0 < p_T < 1, got p_T = {mix.p_t:.6g}"
         )
-    traj = _route_b(rho_init, k_s, grid, dt)
     params = RateParams(k_s=k_s)
     alt_traj = integrate(
         ModelKind.NORMALIZED_KOMINIS,
         rho_init,
         params,
-        grid,
+        traj.times,
         method="rk4-fixed",
         dt=dt if dt is not None else BASE_DT_SCALE / k_s,
     )
@@ -326,23 +343,24 @@ def check_weight_derivative(
 
 
 def check_kominis_singularity(
-    rho_init: DensityMatrix, k_s: float, grid, dt: float | None = None
+    rho_init: DensityMatrix, k_s: float, traj: Trajectory, dt: float | None = None
 ) -> CheckRecord:
     """Confirm the alternative normalized flow is undefined from singlet-pure states.
 
-    Passes when integration raises the singular-model error while the
-    regular normalized flow from the same state stays constant.
+    Passes when integration raises the singular-model error while route
+    B, the regular normalized flow from the same state, stays constant.
     """
     params = RateParams(k_s=k_s)
     step = dt if dt is not None else BASE_DT_SCALE / k_s
     raised = False
     message = None
     try:
-        integrate(ModelKind.NORMALIZED_KOMINIS, rho_init, params, grid, method="rk4-fixed", dt=step)
+        integrate(
+            ModelKind.NORMALIZED_KOMINIS, rho_init, params, traj.times, method="rk4-fixed", dt=step
+        )
     except ModelSingular as exc:
         raised = True
         message = str(exc)
-    traj = _route_b(rho_init, k_s, grid, dt)
     drift = max(frobenius_distance(state, rho_init) for state in traj.states)
     tol = _tolerance(k_s, dt)
     return CheckRecord(
@@ -384,37 +402,49 @@ def default_battery() -> list[Scenario]:
 
 
 def run_scenario(scenario: Scenario, scheme: str = "corrected") -> ConsistencyReport:
-    """Run every check applicable to the scenario's initial state."""
-    rho, k_s, grid, dt = scenario.rho_init, scenario.k_s, scenario.grid, scenario.dt
+    """Run every check applicable to the scenario's initial state.
+
+    Route B is integrated once and shared by the checks that judge it.
+    Every library error becomes a failed check whose ``error`` names the
+    cause; if route B itself fails, each check on it records that error.
+    """
+    rho, k_s, dt = scenario.rho_init, scenario.k_s, scenario.dt
     p_t = mixture_from_initial(rho).p_t
-    checks: list[CheckRecord] = []
-    divergence = None
+    tol = _tolerance(k_s, dt)
+
+    def failed(name, exc):
+        return CheckRecord(name, None, None, tol, False, error=str(exc))
 
     def contained(name, fn):
         try:
             return fn()
-        except (ModelSingular, IntegrationError, ValueError) as exc:
-            return CheckRecord(name, None, None, _tolerance(k_s, dt), False, error=str(exc))
+        except CONTAINED_ERRORS as exc:
+            return failed(name, exc)
 
-    checks.append(contained("route-equivalence", lambda: check_route_equivalence(rho, k_s, grid, dt)))
-    checks.append(
-        contained("mixture-identity", lambda: check_mixture_identity(rho, k_s, grid, dt, scheme))
-    )
+    try:
+        traj, route_b_error = route_b(rho, k_s, scenario.grid, dt), None
+    except CONTAINED_ERRORS as exc:
+        traj, route_b_error = None, exc
+
+    def on_route_b(name, check, *args):
+        if route_b_error is not None:
+            return failed(name, route_b_error)
+        return contained(name, lambda: check(rho, k_s, traj, dt, *args))
+
+    checks = [
+        on_route_b("route-equivalence", check_route_equivalence),
+        on_route_b("mixture-identity", check_mixture_identity, scheme),
+    ]
+    divergence = None
     if p_t > P_FLOOR:
         checks.append(contained("weight-derivative", lambda: check_weight_derivative(rho, k_s)))
     if P_FLOOR < p_t < 1.0 - P_FLOOR:
-        outcome = contained(
-            "kominis-discrepancy", lambda: check_kominis_discrepancy(rho, k_s, grid, dt)
-        )
+        outcome = on_route_b("kominis-discrepancy", check_kominis_discrepancy)
         if isinstance(outcome, tuple):
-            record, divergence = outcome
-            checks.append(record)
-        else:
-            checks.append(outcome)
+            outcome, divergence = outcome
+        checks.append(outcome)
     elif p_t <= P_FLOOR:
-        checks.append(
-            contained("kominis-singularity", lambda: check_kominis_singularity(rho, k_s, grid, dt))
-        )
+        checks.append(on_route_b("kominis-singularity", check_kominis_singularity))
     return ConsistencyReport(scenario.descriptor(), tuple(checks), divergence)
 
 

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rpmix
 from rpmix.cli import (
     ConfigError,
     InitialStateSpec,
@@ -280,6 +285,25 @@ class TestVerifyCommand:
         document = json.loads((out / "report.json").read_text())
         checks = {c["name"]: c for c in document["reports"][0]["checks"]}
         assert checks["mixture-identity"]["passed"] is False
+
+    def test_survival_floor_is_a_failed_check_not_a_traceback(self, tmp_path):
+        # pure singlet at k_S t = 30: the exact survival trace falls below
+        # normalize's floor before the end of the grid
+        text = MINIMAL.replace("equal-mixture", "pure-singlet").replace("k_S: 1.0", "k_S: 3.0")
+        config = write_config(tmp_path, text.replace("[jones-hore]", "[normalized-jh]"))
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(Path(rpmix.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rpmix.cli", "verify", "--config", str(config),
+             "--out-dir", str(out), "--quiet"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode in (1, 2)
+        assert "Traceback" not in proc.stderr
+        document = json.loads((out / "report.json").read_text())
+        checks = {c["name"]: c for c in document["reports"][0]["checks"]}
+        assert checks["route-equivalence"]["passed"] is False
+        assert "at or below floor" in checks["route-equivalence"]["error"]
 
     def test_verify_output_prints_status_lines(self, tmp_path, capsys):
         config = write_config(tmp_path, MINIMAL.replace("t_end: 10.0", "t_end: 2.0"))

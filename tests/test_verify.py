@@ -3,6 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from rpmix import verify
+from rpmix.integrator import IntegrationError
+from rpmix.kinetics import P_FLOOR, mixture_from_initial
+from rpmix.models import ModelKind
 from rpmix.spinspace import (
     DensityMatrix,
     electron_pair_space,
@@ -17,6 +21,7 @@ from rpmix.verify import (
     check_route_equivalence,
     check_weight_derivative,
     default_battery,
+    route_b,
     run_scenario,
     run_suite,
 )
@@ -24,6 +29,12 @@ from rpmix.verify import (
 SP2 = two_level_space()
 SP4 = electron_pair_space()
 GRID = np.linspace(0.0, 10.0, 101)
+SHORT_GRID = np.linspace(0.0, 2.0, 21)
+
+
+def b(rho, grid=GRID, dt=None):
+    """Route B on the unit-rate grid the check tests use."""
+    return route_b(rho, 1.0, grid, dt)
 
 
 def dm(entries, space=SP2):
@@ -38,32 +49,32 @@ SUPER = dm(0.5 * np.ones((2, 2)))
 
 class TestRouteEquivalence:
     def test_equal_mixture(self):
-        record = check_route_equivalence(EQUAL_MIX, 1.0, GRID)
+        record = check_route_equivalence(EQUAL_MIX, 1.0, b(EQUAL_MIX))
         assert record.passed
         assert record.max_deviation <= 1e-8
 
     def test_pure_triplet_constant(self):
-        record = check_route_equivalence(PURE_T, 1.0, GRID)
+        record = check_route_equivalence(PURE_T, 1.0, b(PURE_T))
         assert record.passed
         assert record.max_deviation < 1e-13
 
     def test_pure_singlet_normalization_cancels_decay(self):
-        record = check_route_equivalence(PURE_S, 1.0, GRID)
+        record = check_route_equivalence(PURE_S, 1.0, b(PURE_S))
         assert record.passed
         assert record.max_deviation < 1e-12
 
     def test_coherent_superposition(self):
-        record = check_route_equivalence(SUPER, 1.0, GRID)
+        record = check_route_equivalence(SUPER, 1.0, b(SUPER))
         assert record.passed
 
     def test_tolerance_scales_with_step(self):
-        record = check_route_equivalence(EQUAL_MIX, 1.0, GRID, dt=2e-3)
+        record = check_route_equivalence(EQUAL_MIX, 1.0, b(EQUAL_MIX, dt=2e-3), dt=2e-3)
         assert record.tolerance == pytest.approx(1e-8 * 16.0)
 
 
 class TestMixtureIdentity:
     def test_equal_mixture_headline_value(self):
-        record = check_mixture_identity(EQUAL_MIX, 1.0, GRID)
+        record = check_mixture_identity(EQUAL_MIX, 1.0, b(EQUAL_MIX))
         assert record.passed
         assert record.details["state_deviation"] <= 1e-8
         assert record.details["rhs_deviation"] <= 1e-8
@@ -79,23 +90,23 @@ class TestMixtureIdentity:
         assert p == pytest.approx(0.2689414213699951, abs=1e-15)
 
     def test_pure_singlet_trivial(self):
-        record = check_mixture_identity(PURE_S, 1.0, GRID)
+        record = check_mixture_identity(PURE_S, 1.0, b(PURE_S))
         assert record.passed
         assert record.max_deviation < 1e-13
 
     def test_superposition_tracks_coherence(self):
-        record = check_mixture_identity(SUPER, 1.0, GRID)
+        record = check_mixture_identity(SUPER, 1.0, b(SUPER))
         assert record.passed
 
     def test_disputed_scheme_fails_for_mixed_states(self):
-        record = check_mixture_identity(EQUAL_MIX, 1.0, GRID, scheme="kominis")
+        record = check_mixture_identity(EQUAL_MIX, 1.0, b(EQUAL_MIX), scheme="kominis")
         assert not record.passed
         assert record.max_deviation > 1e-3
 
 
 class TestKominisDiscrepancy:
     def test_equal_mixture_closed_form_values(self):
-        record, curve = check_kominis_discrepancy(EQUAL_MIX, 1.0, GRID)
+        record, curve = check_kominis_discrepancy(EQUAL_MIX, 1.0, b(EQUAL_MIX))
         assert record.passed
         i = 10  # t = 1.0 on this grid
         assert curve.times[i] == pytest.approx(1.0)
@@ -105,19 +116,19 @@ class TestKominisDiscrepancy:
         assert curve.delta[0] == 0.0
 
     def test_disputed_route_matches_alternative_flow(self):
-        record, _ = check_kominis_discrepancy(EQUAL_MIX, 1.0, GRID)
+        record, _ = check_kominis_discrepancy(EQUAL_MIX, 1.0, b(EQUAL_MIX))
         assert record.details["alternative_flow_agreement"] <= 1e-8
 
     def test_requires_mixed_state(self):
         with pytest.raises(ValueError, match="requires 0 < p_T < 1"):
-            check_kominis_discrepancy(PURE_T, 1.0, GRID)
+            check_kominis_discrepancy(PURE_T, 1.0, b(PURE_T, SHORT_GRID))
         with pytest.raises(ValueError, match="requires 0 < p_T < 1"):
-            check_kominis_discrepancy(PURE_S, 1.0, GRID)
+            check_kominis_discrepancy(PURE_S, 1.0, b(PURE_S, SHORT_GRID))
 
     def test_divergence_significant_for_all_mixed_battery_states(self):
         for p_t in (0.25, 0.5, 0.75):
             rho = dm(np.diag([1.0 - p_t, p_t]))
-            record, curve = check_kominis_discrepancy(rho, 1.0, GRID)
+            record, curve = check_kominis_discrepancy(rho, 1.0, b(rho))
             assert record.passed
             assert np.max(np.abs(curve.delta)) >= 1e-3
 
@@ -140,13 +151,13 @@ class TestWeightDerivative:
 
 class TestKominisSingularity:
     def test_pure_singlet(self):
-        record = check_kominis_singularity(PURE_S, 1.0, GRID)
+        record = check_kominis_singularity(PURE_S, 1.0, b(PURE_S))
         assert record.passed
         assert "below floor" in record.details["singular_message"]
         assert record.details["regular_flow_drift"] < 1e-12
 
     def test_mixed_state_does_not_raise_so_check_fails(self):
-        record = check_kominis_singularity(EQUAL_MIX, 1.0, GRID)
+        record = check_kominis_singularity(EQUAL_MIX, 1.0, b(EQUAL_MIX))
         assert not record.passed
 
 
@@ -205,3 +216,102 @@ class TestSuite:
     def test_default_battery_labels_unique(self):
         labels = [s.label for s in default_battery()]
         assert len(labels) == len(set(labels))
+
+
+def independent_report(scenario, scheme="corrected"):
+    """run_scenario's checks, each called on its own route-B integration."""
+    rho, k_s, dt = scenario.rho_init, scenario.k_s, scenario.dt
+    p_t = mixture_from_initial(rho).p_t
+    traj = route_b(rho, k_s, scenario.grid, dt)
+    checks = [
+        check_route_equivalence(rho, k_s, traj, dt),
+        check_mixture_identity(rho, k_s, traj, dt, scheme),
+    ]
+    curve = None
+    if p_t > P_FLOOR:
+        checks.append(check_weight_derivative(rho, k_s))
+    if P_FLOOR < p_t < 1.0 - P_FLOOR:
+        record, curve = check_kominis_discrepancy(rho, k_s, traj, dt)
+        checks.append(record)
+    elif p_t <= P_FLOOR:
+        checks.append(check_kominis_singularity(rho, k_s, traj, dt))
+    return checks, curve
+
+
+class TestSharedRouteB:
+    @pytest.mark.parametrize("scheme", ["corrected", "kominis"])
+    @pytest.mark.parametrize(
+        "rho", [PURE_S, PURE_T, EQUAL_MIX, SUPER], ids=["pT-0", "pT-1", "mixed", "superposition"]
+    )
+    def test_route_b_integrated_once_per_scenario(self, monkeypatch, rho, scheme):
+        models = []
+        integrate = verify.integrate
+
+        def counting(model, *args, **kwargs):
+            models.append(model)
+            return integrate(model, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "integrate", counting)
+        run_scenario(Scenario(label="count", rho_init=rho, t_end=2.0, n_snapshots=21), scheme)
+        assert models.count(ModelKind.NORMALIZED_JONES_HORE) == 1
+
+    @pytest.mark.parametrize("index", range(10), ids=[s.label for s in default_battery()])
+    def test_sharing_is_bit_exact(self, suite_reports, index):
+        scenario = default_battery()[index]
+        report = suite_reports[index]
+        checks, curve = independent_report(scenario)
+        assert report.scenario["label"] == scenario.label
+        assert report.to_dict() == {
+            "scenario": scenario.descriptor(),
+            "checks": [c.to_dict() for c in checks],
+            "divergence_curve": None,
+            "all_passed": all(c.passed for c in checks),
+        }
+        if curve is None:
+            assert report.divergence is None
+        else:
+            for name in ("times", "p_singlet_corrected", "p_singlet_kominis"):
+                assert np.array_equal(getattr(report.divergence, name), getattr(curve, name))
+
+    def test_route_b_failure_fans_out_to_every_dependent_check(self, monkeypatch):
+        integrate = verify.integrate
+
+        def failing(model, *args, **kwargs):
+            if model is ModelKind.NORMALIZED_JONES_HORE:
+                raise IntegrationError("route B broke")
+            return integrate(model, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "integrate", failing)
+        report = run_scenario(Scenario(label="fan-out", rho_init=EQUAL_MIX, t_end=2.0, n_snapshots=21))
+        records = {c.name: c for c in report.checks}
+        for name in ("route-equivalence", "mixture-identity", "kominis-discrepancy"):
+            assert records[name] == verify.CheckRecord(
+                name, None, None, 1e-8, False, error="route B broke"
+            )
+        assert records["weight-derivative"].passed
+        assert report.divergence is None
+
+
+class TestContainedErrors:
+    def test_floors_become_failed_checks_naming_the_cause(self):
+        # the normalized-jh fixed point makes route B exact at any step, so a
+        # coarse dt reaches k_S t = 800, where both survival floors are crossed
+        scenario = Scenario(label="reacted", rho_init=PURE_S, t_end=800.0, n_snapshots=2, dt=1.0)
+        records = {c.name: c for c in run_scenario(scenario).checks}
+        assert not records["route-equivalence"].passed
+        assert "at or below floor" in records["route-equivalence"].error
+        assert "normalized state undefined" in records["route-equivalence"].error
+        assert not records["mixture-identity"].passed
+        assert "surviving fraction" in records["mixture-identity"].error
+        assert records["kominis-singularity"].passed
+
+    def test_inconsistent_mixture_becomes_failed_check(self):
+        # rate-absolute weight_rate tolerance at k_S = 1e4 (still a failing
+        # verdict, but recorded instead of raised)
+        scenario = Scenario(
+            label="fast", rho_init=random_density_matrix(SP4, 3), k_s=1.0e4, t_end=1.0e-3
+        )
+        records = {c.name: c for c in run_scenario(scenario).checks}
+        for name in ("mixture-identity", "weight-derivative"):
+            assert not records[name].passed
+            assert "weight-rate forms disagree" in records[name].error
