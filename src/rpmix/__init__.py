@@ -4,129 +4,46 @@ Implements the competing master equations for singlet-channel
 recombination, the kinetic-mixture decomposition of the surviving
 ensemble, exact propagator oracles, and an executable consistency suite
 that confirms which weight scheme reproduces the normalized evolution.
+
+The top level exports the names of the README quick tour, the entry
+points of the consistency suite and the exception classes; everything
+else is imported from its submodule (``rpmix.spinspace``,
+``rpmix.models``, ``rpmix.kinetics``, ``rpmix.integrator``,
+``rpmix.verify``, ``rpmix.cli``).
 """
 
-from .integrator import (
-    IntegrationError,
-    ObservableSeries,
-    Trajectory,
-    analytic_haberkorn,
-    analytic_jones_hore,
-    integrate,
-)
+from .integrator import IntegrationError, integrate
 from .kinetics import (
     AllReacted,
     MixtureInconsistent,
-    MixtureState,
-    corrected_weights,
-    decompose,
-    fraction_rates,
-    kinetic_fractions,
-    kominis_weights,
     mixture_from_initial,
-    mixture_rhs,
     reconstruct,
-    weight_rate,
     weights_at,
 )
-from .models import (
-    ModelKind,
-    ModelSingular,
-    RateParams,
-    rhs_function,
-    rhs_haberkorn,
-    rhs_jones_hore,
-    rhs_normalized_jones_hore,
-    rhs_normalized_kominis,
-)
-from .spinspace import (
-    DensityMatrix,
-    NormalizationSingular,
-    SpinSpace,
-    ValidationReport,
-    electron_pair_space,
-    frobenius_distance,
-    make_space,
-    normalize,
-    preset_state,
-    random_density_matrix,
-    singlet_probability,
-    triplet_probability,
-    two_level_space,
-    validate,
-)
-from .verify import (
-    CheckRecord,
-    ConsistencyReport,
-    DivergenceCurve,
-    Scenario,
-    check_kominis_discrepancy,
-    check_kominis_singularity,
-    check_mixture_identity,
-    check_route_equivalence,
-    check_weight_derivative,
-    default_battery,
-    route_b,
-    run_scenario,
-    run_suite,
-)
+from .models import ModelKind, ModelSingular, RateParams
+from .spinspace import DensityMatrix, NormalizationSingular, make_space, two_level_space
+from .verify import Scenario, route_b, run_scenario, run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AllReacted",
-    "CheckRecord",
-    "ConsistencyReport",
     "DensityMatrix",
-    "DivergenceCurve",
     "IntegrationError",
     "MixtureInconsistent",
-    "MixtureState",
     "ModelKind",
     "ModelSingular",
     "NormalizationSingular",
-    "ObservableSeries",
     "RateParams",
     "Scenario",
-    "SpinSpace",
-    "Trajectory",
-    "ValidationReport",
-    "analytic_haberkorn",
-    "analytic_jones_hore",
-    "check_kominis_discrepancy",
-    "check_kominis_singularity",
-    "check_mixture_identity",
-    "check_route_equivalence",
-    "check_weight_derivative",
-    "corrected_weights",
-    "decompose",
-    "default_battery",
-    "electron_pair_space",
-    "fraction_rates",
-    "frobenius_distance",
     "integrate",
-    "kinetic_fractions",
-    "kominis_weights",
     "make_space",
     "mixture_from_initial",
-    "mixture_rhs",
-    "normalize",
-    "preset_state",
-    "random_density_matrix",
     "reconstruct",
-    "rhs_function",
-    "rhs_haberkorn",
-    "rhs_jones_hore",
-    "rhs_normalized_jones_hore",
-    "rhs_normalized_kominis",
     "route_b",
     "run_scenario",
     "run_suite",
-    "singlet_probability",
-    "triplet_probability",
     "two_level_space",
-    "validate",
-    "weight_rate",
     "weights_at",
     "__version__",
 ]

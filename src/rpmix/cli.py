@@ -399,7 +399,13 @@ def _say(quiet: bool, *parts) -> None:
         print(*parts)
 
 
-def cmd_run(config: ScenarioConfig, out_dir: Path, args) -> int:
+def _integrate_models(config: ScenarioConfig, args, consume) -> int:
+    """Integrate each configured model in turn, handing each trajectory to consume.
+
+    consume(model, traj) runs before the next model is integrated. The
+    first model that fails is reported on stderr and returns exit code 3;
+    otherwise returns 0.
+    """
     rho = realize_initial_state(config, args.seed)
     params = RateParams(k_s=config.k_s)
     grid = config.grid
@@ -413,10 +419,20 @@ def cmd_run(config: ScenarioConfig, out_dir: Path, args) -> int:
         except (ModelSingular, IntegrationError) as exc:
             print(f"integration of {model.value} failed: {exc}", file=sys.stderr)
             return 3
+        consume(model, traj)
+    return 0
+
+
+def cmd_run(config: ScenarioConfig, out_dir: Path, args) -> int:
+    def write(model: ModelKind, traj: Trajectory) -> None:
         csv_path = out_dir / _model_csv_path(config.csv_path, model)
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         write_trajectory_csv(csv_path, traj)
         _say(args.quiet, f"wrote {csv_path}")
+
+    code = _integrate_models(config, args, write)
+    if code != 0:
+        return code
     _echo_config(config, out_dir)
     return 0
 
@@ -472,22 +488,16 @@ def cmd_verify(config: ScenarioConfig, out_dir: Path, args) -> int:
 
 
 def cmd_compare(config: ScenarioConfig, out_dir: Path, args) -> int:
-    rho = realize_initial_state(config, args.seed)
-    params = RateParams(k_s=config.k_s)
-    grid = config.grid
     columns = {}
-    for model in config.models:
-        try:
-            traj = integrate(
-                model, rho, params, grid,
-                method=config.method, dt=config.dt,
-                rel_tol=config.rel_tol, abs_tol=config.abs_tol,
-            )
-        except (ModelSingular, IntegrationError) as exc:
-            print(f"integration of {model.value} failed: {exc}", file=sys.stderr)
-            return 3
+
+    def collect(model: ModelKind, traj: Trajectory) -> None:
         columns[model.value] = traj.observables.p_singlet
 
+    code = _integrate_models(config, args, collect)
+    if code != 0:
+        return code
+
+    grid = config.grid
     names = list(columns)
     csv_path = out_dir / config.csv_path
     csv_path.parent.mkdir(parents=True, exist_ok=True)

@@ -14,11 +14,13 @@ Positivity is monitored at each snapshot but never projected: a
 violation beyond the fail tolerance aborts the run, because hiding it
 would mask exactly the model pathologies this package exists to expose.
 
-For the Hamiltonian-free linear flows the exact propagators are
-available as oracles: the projection-replacement equation damps every
-matrix block except the triplet-triplet one at rate k_S, while the
-anticommutator equation damps the singlet-singlet block at k_S and the
-singlet-triplet coherences at k_S/2.
+The right-hand side comes from :func:`rpmix.models.rhs_function`, the
+one implementation of each flow. None of the flows has a Hamiltonian,
+so the two linear ones have exact propagators, kept as oracles: the
+projection-replacement equation damps every matrix block except the
+triplet-triplet one at rate k_S, while the anticommutator equation
+damps the singlet-singlet block at k_S and the singlet-triplet
+coherences at k_S/2.
 """
 
 from __future__ import annotations
@@ -249,13 +251,11 @@ def _observe(states) -> ObservableSeries:
 
 
 def analytic_jones_hore(rho_init: DensityMatrix, params: RateParams, t: float) -> DensityMatrix:
-    """Exact H-free solution of the projection-replacement flow.
+    """Exact solution of the projection-replacement flow.
 
     rho(t) = Q_T rho_0 Q_T + e^{-k_S t} (rho_0 - Q_T rho_0 Q_T): every
     block except the triplet-triplet one decays at rate k_S.
     """
-    if params.hamiltonian is not None:
-        raise ValueError("analytic propagator is only valid without a Hamiltonian")
     if t < 0.0:
         raise ValueError("time must be nonnegative")
     tt = rho_init.space.triplet_mask
@@ -264,14 +264,12 @@ def analytic_jones_hore(rho_init: DensityMatrix, params: RateParams, t: float) -
 
 
 def analytic_haberkorn(rho_init: DensityMatrix, params: RateParams, t: float) -> DensityMatrix:
-    """Exact H-free solution of the anticommutator flow.
+    """Exact solution of the anticommutator flow.
 
     rho(t) = e^{-(k_S/2) Q_S t} rho_0 e^{-(k_S/2) Q_S t}: the
     singlet-singlet block decays at k_S, singlet-triplet coherences at
     k_S/2, and the triplet-triplet block is constant.
     """
-    if params.hamiltonian is not None:
-        raise ValueError("analytic propagator is only valid without a Hamiltonian")
     if t < 0.0:
         raise ValueError("time must be nonnegative")
     s = np.exp(-0.5 * params.k_s * t * rho_init.space.singlet_diag)

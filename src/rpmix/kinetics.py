@@ -56,26 +56,20 @@ class MixtureState:
     """Frozen ingredients of the kinetic scheme for one initial state.
 
     p_s, p_t, rho_0, and rho_t are constants of the scheme, fixed by the
-    initial state; f_0 and f_t are the survival fractions (1 and 0 at
-    time zero). rho_t is None when the initial state has no triplet
-    component, so a vanishing projection can never silently divide by
-    zero.
+    initial state; the time-dependent survival fractions come from
+    :func:`kinetic_fractions`. rho_t is None when the initial state has
+    no triplet component, so a vanishing projection can never silently
+    divide by zero.
     """
 
     p_s: float
     p_t: float
     rho_0: DensityMatrix
     rho_t: DensityMatrix | None
-    f_0: float = 1.0
-    f_t: float = 0.0
 
     def __post_init__(self):
         if abs(self.p_s + self.p_t - 1.0) > 1e-12:
             raise ValueError(f"p_s + p_t must be 1, got {self.p_s + self.p_t!r}")
-        if self.f_0 + self.f_t > 1.0 + 1e-12:
-            raise ValueError("survival fractions exceed 1")
-        if self.product_fraction < -1e-12:
-            raise ValueError("negative product fraction")
         if self.rho_t is not None:
             rt = self.rho_t
             if abs(rt.trace - 1.0) > 1e-12:
@@ -87,11 +81,6 @@ class MixtureState:
                 raise ValueError(
                     f"rho_t has singlet support {support_err:.3e}; must live in the triplet subspace"
                 )
-
-    @property
-    def product_fraction(self) -> float:
-        """f_P = 1 - f_0 - f_T, the probability of product formation."""
-        return 1.0 - self.f_0 - self.f_t
 
 
 def mixture_from_initial(
@@ -242,15 +231,17 @@ def weight_rate(
 
     The kinetic form -k_S w_0 (w_T + p_T w_0) and the trace form
     -k_S w_0 Tr[Q_T rho_nr Q_T] agree exactly when rho_nr is the mixture
-    built from these weights; a disagreement beyond tol means the caller's
-    rho_nr is not of mixture form and raises :class:`MixtureInconsistent`.
+    built from these weights; a disagreement beyond tol * k_S means the
+    caller's rho_nr is not of mixture form and raises
+    :class:`MixtureInconsistent`. The bound scales with k_S because both
+    forms do, so the verdict depends only on the dimensionless rate.
     Returns the trace form. dw_T/dt is its negative.
     """
     w_0, w_t = weights
     kinetic_form = -k_s * w_0 * (w_t + mix.p_t * w_0)
     tr_t = float(np.real(np.trace(rho_nr.space.triplet_mask * rho_nr.matrix)))
     trace_form = -k_s * w_0 * tr_t
-    if abs(kinetic_form - trace_form) > tol:
+    if abs(kinetic_form - trace_form) > tol * k_s:
         raise MixtureInconsistent(
             f"weight-rate forms disagree: kinetic {kinetic_form!r} vs trace {trace_form!r}; "
             "rho_nr is not the mixture built from these weights"

@@ -27,23 +27,6 @@ def dm(space, entries):
     return DensityMatrix(space, np.array(entries, dtype=complex))
 
 
-def expm_oracle(a, t):
-    """Matrix exponential through eigendecomposition (independent of the steppers)."""
-    vals, vecs = np.linalg.eig(a)
-    return vecs @ np.diag(np.exp(vals * t)) @ np.linalg.inv(vecs)
-
-
-def superoperator(space, params):
-    """Row-major vectorized generator of the jones-hore flow, optional Hamiltonian."""
-    d = space.dim
-    eye = np.eye(d, dtype=complex)
-    a = -params.k_s * (np.eye(d * d, dtype=complex) - np.kron(space.q_t, space.q_t))
-    if params.hamiltonian is not None:
-        h = params.hamiltonian
-        a = a - 1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    return a
-
-
 class TestIntegrateBasics:
     def test_pure_triplet_fixed_point(self):
         traj = integrate(
@@ -142,14 +125,6 @@ class TestAnalyticPropagators:
         b = analytic_haberkorn(rho, K1, 1.0)
         assert np.allclose(np.diagonal(a.matrix), np.diagonal(b.matrix), atol=1e-16)
 
-    def test_rejects_hamiltonian(self):
-        params = RateParams(k_s=1.0, hamiltonian=np.eye(2))
-        rho = random_density_matrix(SP2, 1)
-        with pytest.raises(ValueError, match="Hamiltonian"):
-            analytic_jones_hore(rho, params, 1.0)
-        with pytest.raises(ValueError, match="Hamiltonian"):
-            analytic_haberkorn(rho, params, 1.0)
-
     def test_rejects_negative_time(self):
         rho = random_density_matrix(SP2, 1)
         with pytest.raises(ValueError):
@@ -199,17 +174,6 @@ class TestOracleAgreement:
                     for t, s in zip(traj.times, traj.states)
                 )
                 assert worst <= 1e-9, (space.dim, seed, worst)
-
-    def test_hamiltonian_run_against_superoperator_exponential(self):
-        h = np.array([[0.0, 0.7], [0.7, 0.3]], dtype=complex)
-        params = RateParams(k_s=1.0, hamiltonian=h)
-        rho = random_density_matrix(SP2, 4)
-        gen = superoperator(SP2, params)
-        grid = np.linspace(0.0, 3.0, 16)
-        traj = integrate(ModelKind.JONES_HORE, rho, params, grid, method="rk4-fixed", dt=1e-3)
-        for t, state in zip(traj.times, traj.states):
-            expected = (expm_oracle(gen, t) @ rho.matrix.reshape(-1)).reshape(2, 2)
-            assert frobenius_distance(state, expected) < 1e-9
 
 
 class TestTrajectoryInvariants:

@@ -18,7 +18,7 @@ from rpmix.kinetics import (
     weight_rate,
     weights_at,
 )
-from rpmix.models import RateParams, rhs_normalized_jones_hore
+from rpmix.models import ModelKind, RateParams, rhs_function
 from rpmix.spinspace import (
     DensityMatrix,
     electron_pair_space,
@@ -60,8 +60,6 @@ class TestMixtureFromInitial:
         assert mix.p_s == pytest.approx(0.5, abs=1e-15)
         assert mix.p_t == pytest.approx(0.5, abs=1e-15)
         assert np.allclose(mix.rho_t.matrix, np.diag([0.0, 1.0]))
-        assert mix.f_0 == 1.0 and mix.f_t == 0.0
-        assert mix.product_fraction == 0.0
 
     def test_pure_singlet_has_no_rho_t(self):
         mix = mixture_from_initial(dm(SP2, np.diag([1.0, 0.0])))
@@ -319,6 +317,17 @@ class TestWeightRate:
                     assert abs(tr_t - (w[1] + mix.p_t * w[0])) < 1e-13
                     weight_rate(w, rho_nr, mix, 1.0)  # must not raise
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        four_level=st.booleans(),
+        tau=st.floats(min_value=0.0, max_value=10.0),
+        k_s=st.floats(min_value=1e-3, max_value=1e6),
+    )
+    def test_never_raises_on_mixture_states_at_any_rate(self, seed, four_level, tau, k_s):
+        mix = mixture_from_initial(random_density_matrix(SP4 if four_level else SP2, seed))
+        w = weights_at(tau / k_s, mix, k_s, "corrected")
+        weight_rate(w, reconstruct(w, mix), mix, k_s)  # must not raise
+
     def test_finite_difference_identity(self):
         k_s, h = 1.0, 1e-5
         for seed in range(5):
@@ -364,10 +373,11 @@ class TestMixtureRhs:
     def test_matches_normalized_flow_on_mixtures(self):
         params = RateParams(k_s=1.0)
         for space in (SP2, SP4):
+            flow = rhs_function(ModelKind.NORMALIZED_JONES_HORE, space, params)
             for seed in range(10):
                 mix = mixture_from_initial(random_density_matrix(space, seed))
                 for t in (0.0, 0.4, 1.0, 4.0):
                     w = weights_at(t, mix, 1.0, "corrected")
                     lhs = mixture_rhs(mix, w, 1.0)
-                    rhs = rhs_normalized_jones_hore(reconstruct(w, mix), params)
+                    rhs = flow(reconstruct(w, mix).matrix)
                     assert frobenius_distance(lhs, rhs) < 1e-14

@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from rpmix.models import (
-    ModelKind,
-    ModelSingular,
-    RateParams,
-    rhs_function,
-    rhs_haberkorn,
-    rhs_jones_hore,
-    rhs_normalized_jones_hore,
-    rhs_normalized_kominis,
-)
+from rpmix.models import ModelKind, ModelSingular, RateParams, rhs_function
 from rpmix.spinspace import (
     DensityMatrix,
     electron_pair_space,
@@ -29,19 +20,14 @@ MIXED = DensityMatrix(SP2, np.diag([0.5, 0.5]).astype(complex))
 SUPER = DensityMatrix(SP2, 0.5 * np.ones((2, 2), dtype=complex))
 
 
+def rhs(kind, rho, params):
+    return rhs_function(kind, rho.space, params)(rho.matrix)
+
+
 class TestRateParams:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             RateParams(k_s=-1.0)
-
-    def test_non_hermitian_hamiltonian_rejected(self):
-        with pytest.raises(ValueError):
-            RateParams(k_s=1.0, hamiltonian=np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_hamiltonian_accepted(self):
-        h = np.array([[0.0, 1.0], [1.0, 0.0]])
-        params = RateParams(k_s=1.0, hamiltonian=h)
-        assert np.array_equal(params.hamiltonian, h.astype(complex))
 
 
 class TestModelKind:
@@ -56,44 +42,32 @@ class TestModelKind:
 
 class TestJonesHore:
     def test_pure_singlet(self):
-        assert np.allclose(rhs_jones_hore(PURE_S, K1), -PURE_S.matrix, atol=1e-15)
+        assert np.allclose(rhs(ModelKind.JONES_HORE, PURE_S, K1), -PURE_S.matrix, atol=1e-15)
 
     def test_pure_triplet_fixed_point(self):
-        assert np.allclose(rhs_jones_hore(PURE_T, K1), 0.0, atol=1e-15)
+        assert np.allclose(rhs(ModelKind.JONES_HORE, PURE_T, K1), 0.0, atol=1e-15)
 
     def test_superposition(self):
         expected = np.array([[-0.5, -0.5], [-0.5, 0.0]], dtype=complex)
-        assert np.allclose(rhs_jones_hore(SUPER, K1), expected, atol=1e-15)
-
-    def test_hamiltonian_commutator(self):
-        h = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        params = RateParams(k_s=1.0, hamiltonian=h)
-        m = SUPER.matrix
-        expected = -1.0 * (m - SP2.triplet_mask * m) - 1j * (h @ m - m @ h)
-        assert np.allclose(rhs_jones_hore(SUPER, params), expected, atol=1e-15)
-
-    def test_hamiltonian_dimension_mismatch(self):
-        params = RateParams(k_s=1.0, hamiltonian=np.eye(4))
-        with pytest.raises(ValueError):
-            rhs_jones_hore(SUPER, params)
+        assert np.allclose(rhs(ModelKind.JONES_HORE, SUPER, K1), expected, atol=1e-15)
 
 
 class TestHaberkorn:
     def test_pure_singlet(self):
-        assert np.allclose(rhs_haberkorn(PURE_S, K1), -PURE_S.matrix, atol=1e-15)
+        assert np.allclose(rhs(ModelKind.HABERKORN, PURE_S, K1), -PURE_S.matrix, atol=1e-15)
 
     def test_pure_triplet_fixed_point(self):
-        assert np.allclose(rhs_haberkorn(PURE_T, K1), 0.0, atol=1e-15)
+        assert np.allclose(rhs(ModelKind.HABERKORN, PURE_T, K1), 0.0, atol=1e-15)
 
     def test_superposition(self):
         expected = np.array([[-0.5, -0.25], [-0.25, 0.0]], dtype=complex)
-        assert np.allclose(rhs_haberkorn(SUPER, K1), expected, atol=1e-15)
+        assert np.allclose(rhs(ModelKind.HABERKORN, SUPER, K1), expected, atol=1e-15)
 
     def test_coherence_decays_at_half_rate(self):
         c = 0.3 + 0.1j
         rho = DensityMatrix(SP2, np.array([[0.5, c], [np.conj(c), 0.5]]))
-        jh = rhs_jones_hore(rho, K1)
-        hab = rhs_haberkorn(rho, K1)
+        jh = rhs(ModelKind.JONES_HORE, rho, K1)
+        hab = rhs(ModelKind.HABERKORN, rho, K1)
         assert jh[0, 1] == -c
         assert hab[0, 1] == -0.5 * c
 
@@ -101,56 +75,38 @@ class TestHaberkorn:
         for seed in range(10):
             rho = random_density_matrix(SP4, seed)
             diag = DensityMatrix(SP4, np.diag(np.diagonal(rho.matrix)))
-            assert np.array_equal(rhs_jones_hore(diag, K1), rhs_haberkorn(diag, K1))
+            assert np.array_equal(
+                rhs(ModelKind.JONES_HORE, diag, K1), rhs(ModelKind.HABERKORN, diag, K1)
+            )
 
 
 class TestNormalizedJonesHore:
     def test_pure_singlet_fixed_point(self):
-        assert np.allclose(rhs_normalized_jones_hore(PURE_S, K1), 0.0, atol=1e-15)
+        assert np.allclose(rhs(ModelKind.NORMALIZED_JONES_HORE, PURE_S, K1), 0.0, atol=1e-15)
 
     def test_pure_triplet_fixed_point(self):
-        assert np.allclose(rhs_normalized_jones_hore(PURE_T, K1), 0.0, atol=1e-15)
+        assert np.allclose(rhs(ModelKind.NORMALIZED_JONES_HORE, PURE_T, K1), 0.0, atol=1e-15)
 
     def test_equal_mixture(self):
         expected = np.diag([-0.25, 0.25]).astype(complex)
-        assert np.allclose(rhs_normalized_jones_hore(MIXED, K1), expected, atol=1e-15)
-
-    def test_rejects_hamiltonian(self):
-        params = RateParams(k_s=1.0, hamiltonian=np.eye(2))
-        with pytest.raises(ValueError, match="Hamiltonian"):
-            rhs_normalized_jones_hore(MIXED, params)
-
-    def test_rejects_unnormalized_input(self):
-        rho = DensityMatrix(SP2, np.diag([0.25, 0.25]).astype(complex))
-        with pytest.raises(ValueError, match="Tr"):
-            rhs_normalized_jones_hore(rho, K1)
+        assert np.allclose(rhs(ModelKind.NORMALIZED_JONES_HORE, MIXED, K1), expected, atol=1e-15)
 
 
 class TestNormalizedKominis:
     def test_pure_triplet_fixed_point(self):
-        assert np.allclose(rhs_normalized_kominis(PURE_T, K1), 0.0, atol=1e-15)
+        assert np.allclose(rhs(ModelKind.NORMALIZED_KOMINIS, PURE_T, K1), 0.0, atol=1e-15)
 
     def test_equal_mixture(self):
         expected = np.diag([-0.5, 0.5]).astype(complex)
-        assert np.allclose(rhs_normalized_kominis(MIXED, K1), expected, atol=1e-15)
+        assert np.allclose(rhs(ModelKind.NORMALIZED_KOMINIS, MIXED, K1), expected, atol=1e-15)
 
     def test_pure_singlet_singular(self):
         with pytest.raises(ModelSingular):
-            rhs_normalized_kominis(PURE_S, K1)
-
-    def test_rejects_hamiltonian(self):
-        params = RateParams(k_s=1.0, hamiltonian=np.eye(2))
-        with pytest.raises(ValueError, match="Hamiltonian"):
-            rhs_normalized_kominis(MIXED, params)
+            rhs(ModelKind.NORMALIZED_KOMINIS, PURE_S, K1)
 
 
 def _all_rhs(rho, params):
-    return {
-        "jones-hore": rhs_jones_hore(rho, params),
-        "haberkorn": rhs_haberkorn(rho, params),
-        "normalized-jh": rhs_normalized_jones_hore(rho, params),
-        "normalized-kominis": rhs_normalized_kominis(rho, params),
-    }
+    return {kind.value: rhs(kind, rho, params) for kind in ModelKind}
 
 
 class TestSharedInvariants:
@@ -169,18 +125,18 @@ class TestSharedInvariants:
             rho = random_density_matrix(space, seed)
             expected = -k * singlet_probability(rho)
             params = RateParams(k_s=k)
-            assert abs(np.trace(rhs_jones_hore(rho, params)).real - expected) < 1e-13
-            assert abs(np.trace(rhs_haberkorn(rho, params)).real - expected) < 1e-13
-            assert abs(np.trace(rhs_normalized_jones_hore(rho, params))) < 1e-13
-            assert abs(np.trace(rhs_normalized_kominis(rho, params))) < 1e-13
+            assert abs(np.trace(rhs(ModelKind.JONES_HORE, rho, params)).real - expected) < 1e-13
+            assert abs(np.trace(rhs(ModelKind.HABERKORN, rho, params)).real - expected) < 1e-13
+            assert abs(np.trace(rhs(ModelKind.NORMALIZED_JONES_HORE, rho, params))) < 1e-13
+            assert abs(np.trace(rhs(ModelKind.NORMALIZED_KOMINIS, rho, params))) < 1e-13
 
     def test_triplet_supported_states_are_fixed_points_of_both_normalized_flows(self):
         for seed in range(10):
             raw = random_density_matrix(SP4, seed).matrix
             projected = SP4.triplet_mask * raw
             rho = DensityMatrix(SP4, projected / np.trace(projected).real)
-            a = rhs_normalized_jones_hore(rho, K1)
-            b = rhs_normalized_kominis(rho, K1)
+            a = rhs(ModelKind.NORMALIZED_JONES_HORE, rho, K1)
+            b = rhs(ModelKind.NORMALIZED_KOMINIS, rho, K1)
             assert np.max(np.abs(a)) < 1e-14
             assert np.max(np.abs(b)) < 1e-14
 
@@ -192,31 +148,3 @@ class TestSharedInvariants:
             double = _all_rhs(rho, RateParams(k_s=2 * k))
             for name in single:
                 assert np.array_equal(double[name], 2.0 * single[name]), name
-
-
-class TestRhsFunction:
-    @pytest.mark.parametrize("kind,public", [
-        (ModelKind.JONES_HORE, rhs_jones_hore),
-        (ModelKind.HABERKORN, rhs_haberkorn),
-        (ModelKind.NORMALIZED_JONES_HORE, rhs_normalized_jones_hore),
-        (ModelKind.NORMALIZED_KOMINIS, rhs_normalized_kominis),
-    ])
-    def test_closure_matches_public_rhs(self, kind, public):
-        params = RateParams(k_s=1.3)
-        f = rhs_function(kind, SP4, params)
-        for seed in range(5):
-            rho = random_density_matrix(SP4, seed)
-            assert np.allclose(f(rho.matrix), public(rho, params), atol=1e-15)
-
-    def test_normalized_models_reject_hamiltonian(self):
-        params = RateParams(k_s=1.0, hamiltonian=np.zeros((2, 2)))
-        for kind in (ModelKind.NORMALIZED_JONES_HORE, ModelKind.NORMALIZED_KOMINIS):
-            with pytest.raises(ValueError, match="Hamiltonian"):
-                rhs_function(kind, SP2, params)
-
-    def test_closure_with_hamiltonian(self):
-        h = np.array([[0.0, -1j], [1j, 0.0]])
-        params = RateParams(k_s=0.5, hamiltonian=h)
-        f = rhs_function(ModelKind.HABERKORN, SP2, params)
-        rho = random_density_matrix(SP2, 11)
-        assert np.allclose(f(rho.matrix), rhs_haberkorn(rho, params), atol=1e-15)

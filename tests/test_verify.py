@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rpmix import verify
+from rpmix import kinetics, verify
 from rpmix.integrator import IntegrationError
 from rpmix.kinetics import P_FLOOR, mixture_from_initial
 from rpmix.models import ModelKind
@@ -305,13 +305,31 @@ class TestContainedErrors:
         assert "surviving fraction" in records["mixture-identity"].error
         assert records["kominis-singularity"].passed
 
-    def test_inconsistent_mixture_becomes_failed_check(self):
-        # rate-absolute weight_rate tolerance at k_S = 1e4 (still a failing
-        # verdict, but recorded instead of raised)
+    def test_inconsistent_mixture_becomes_failed_check(self, monkeypatch):
+        # run_scenario never builds a non-mixture state, so hand mixture_rhs
+        # one: shift 1e-3 of population from the triplet to the singlet level
+        reconstruct = kinetics.reconstruct
+
+        def shifted(weights, mix):
+            rho = reconstruct(weights, mix)
+            return DensityMatrix(rho.space, rho.matrix + np.diag([1e-3, -1e-3]))
+
+        monkeypatch.setattr(kinetics, "reconstruct", shifted)
+        records = {c.name: c for c in run_scenario(Scenario("shifted", EQUAL_MIX)).checks}
+        assert not records["mixture-identity"].passed
+        assert "weight-rate forms disagree" in records["mixture-identity"].error
+        assert records["weight-derivative"].passed
+
+
+class TestRateScale:
+    def test_fast_rate_four_level_state_passes_every_check(self):
+        # the weight-rate form gap grows with k_S (1.8e-12 here); its bound
+        # must grow too, or both mixture checks fail on a correct state
         scenario = Scenario(
             label="fast", rho_init=random_density_matrix(SP4, 3), k_s=1.0e4, t_end=1.0e-3
         )
-        records = {c.name: c for c in run_scenario(scenario).checks}
-        for name in ("mixture-identity", "weight-derivative"):
-            assert not records[name].passed
-            assert "weight-rate forms disagree" in records[name].error
+        report = run_scenario(scenario)
+        assert report.all_passed, [(c.name, c.error) for c in report.checks if not c.passed]
+        assert {c.name for c in report.checks} == {
+            "route-equivalence", "mixture-identity", "weight-derivative", "kominis-discrepancy",
+        }
