@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -143,6 +144,21 @@ class ScenarioConfig:
         return np.linspace(0.0, self.t_end, self.n_snapshots)
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """SafeLoader that also reads 1e5, 1.0e4 and 1e-3 as floats.
+
+    YAML 1.1, which PyYAML follows, requires a dot and a signed exponent
+    (1.0e+4); anything else in exponent form would load as a string.
+    """
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def _require(mapping: dict, key: str, path: str):
     if key not in mapping:
         raise ConfigError(f"missing required key '{_join(path, key)}'")
@@ -216,7 +232,7 @@ def _parse_initial_state(value, dim: int) -> InitialStateSpec:
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and fully validate a YAML configuration document."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     doc = _as_mapping(doc if doc is not None else {}, "config")

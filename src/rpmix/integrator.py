@@ -6,13 +6,19 @@ Two steppers act on the raw density matrix:
   the workhorse for convergence-order and consistency tests.
 - "rk45-adaptive": Fehlberg embedded 4(5) pair with standard
   error-controlled step adjustment (safety factor 0.9, step clamped to
-  [1e-12, t_end]); the fifth-order solution is propagated.
+  [1e-12, t_end]); the fifth-order solution is propagated. A trial step
+  keeps its six stages in one (6, d, d) array and forms every stage
+  input, and both embedded solutions, as weighted reductions over it.
 
 Every accepted step is followed by re-symmetrization
 rho <- (rho + rho^dagger)/2, which keeps snapshots exactly Hermitian.
-Positivity is monitored at each snapshot but never projected: a
-violation beyond the fail tolerance aborts the run, because hiding it
-would mask exactly the model pathologies this package exists to expose.
+The snapshots are stacked into one (T, d, d) array once the run ends;
+the observables and the positivity and trace gate each take one pass
+over that stack, and all of them round exactly as a per-snapshot loop
+would. Positivity is monitored at each snapshot but never projected: a
+violation beyond the fail tolerance aborts the run, naming the first
+offending snapshot, because hiding it would mask exactly the model
+pathologies this package exists to expose.
 
 The right-hand side comes from :func:`rpmix.models.rhs_function`, the
 one implementation of each flow. None of the flows has a Hamiltonian,
@@ -25,6 +31,7 @@ coherences at k_S/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,34 +85,40 @@ def _rk4_step(f, m: np.ndarray, h: float) -> np.ndarray:
     return m + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-# Fehlberg 4(5) tableau: stage coefficients, then the 4th- and 5th-order weights.
-_FEHLBERG_A = (
-    (),
-    (1.0 / 4.0,),
-    (3.0 / 32.0, 9.0 / 32.0),
-    (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
-    (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
-    (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
+# Fehlberg 4(5) tableau. _FEHLBERG_A[i] holds the coefficients of stages
+# 0..i-1 in stage i, shaped (i, 1, 1) to weight a stage stack. The rows of
+# _FEHLBERG_W are the 4th- and 5th-order weights of stages 0, 2, 3, 4 and 5;
+# stage 1 has zero weight in both orders.
+_FEHLBERG_A = tuple(
+    np.array(row).reshape(-1, 1, 1)
+    for row in (
+        (),
+        (1.0 / 4.0,),
+        (3.0 / 32.0, 9.0 / 32.0),
+        (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
+        (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
+        (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
+    )
 )
-_FEHLBERG_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
-_FEHLBERG_B5 = (
-    16.0 / 135.0,
-    0.0,
-    6656.0 / 12825.0,
-    28561.0 / 56430.0,
-    -9.0 / 50.0,
-    2.0 / 55.0,
-)
+_FEHLBERG_USED = np.array([0, 2, 3, 4, 5])
+_FEHLBERG_W = np.array([
+    (25.0 / 216.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0),
+    (16.0 / 135.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0),
+]).reshape(2, 5, 1, 1)
 
 
 def _rkf45_step(f, m: np.ndarray, h: float):
-    """One Fehlberg trial step: returns (5th-order result, error estimate)."""
-    k = [f(m)]
-    for row in _FEHLBERG_A[1:]:
-        stage = m + h * sum(a * ki for a, ki in zip(row, k))
-        k.append(f(stage))
-    m4 = m + h * sum(b * ki for b, ki in zip(_FEHLBERG_B4, k) if b != 0.0)
-    m5 = m + h * sum(b * ki for b, ki in zip(_FEHLBERG_B5, k) if b != 0.0)
+    """One Fehlberg trial step: returns (5th-order result, error estimate).
+
+    The stages live in one (6, d, d) array. Each weighted stage sum is a
+    reduction over the stage axis, which numpy adds term by term from
+    zero, so it rounds exactly as a running sum of the terms would.
+    """
+    k = np.empty((6,) + m.shape, dtype=complex)
+    k[0] = f(m)
+    for i in range(1, 6):
+        k[i] = f(m + h * np.add.reduce(_FEHLBERG_A[i] * k[:i]))
+    m4, m5 = m + h * np.add.reduce(_FEHLBERG_W * k[_FEHLBERG_USED], axis=1)
     return m5, m5 - m4
 
 
@@ -134,7 +147,7 @@ def _advance_adaptive(
         trial, err = _rkf45_step(f, m, h)
         scale = abs_tol + rel_tol * np.maximum(np.abs(m), np.abs(trial))
         err_ratio = float(np.max(np.abs(err) / scale))
-        if not np.isfinite(err_ratio):
+        if not math.isfinite(err_ratio):
             raise IntegrationError(f"non-finite error estimate at t = {t:.12g}")
         if err_ratio <= 1.0:
             t += h
@@ -222,32 +235,37 @@ def integrate(
         except ValueError as exc:
             raise IntegrationError(f"invalid state at t = {t1:.6g}: {exc}") from exc
 
-    observables = _observe(states)
-    for t, state, min_eig in zip(times, states, observables.min_eigenvalue):
-        if min_eig < -PSD_FAIL_TOL:
+    stack = np.array([state.matrix for state in states])
+    observables = _observe(stack, space)
+    trace = np.trace(stack, axis1=1, axis2=2).real
+    negative = observables.min_eigenvalue < -PSD_FAIL_TOL
+    bad = np.flatnonzero(negative | (trace <= 0.0) | (trace > 1.0 + TRACE_TOL))
+    if bad.size:
+        i = bad[0]
+        if negative[i]:
             raise IntegrationError(
-                f"positivity violated at t = {t:.6g}: min eigenvalue {min_eig:.3e}"
+                f"positivity violated at t = {times[i]:.6g}: "
+                f"min eigenvalue {observables.min_eigenvalue[i]:.3e}"
             )
-        if state.trace <= 0.0 or state.trace > 1.0 + TRACE_TOL:
-            raise IntegrationError(
-                f"trace out of range at t = {t:.6g}: {state.trace:.12g}"
-            )
+        raise IntegrationError(f"trace out of range at t = {times[i]:.6g}: {trace[i]:.12g}")
     return Trajectory(times=times, states=tuple(states), observables=observables)
 
 
-def _observe(states) -> ObservableSeries:
-    n = len(states)
-    trace = np.empty(n)
-    p_s = np.empty(n)
-    p_t = np.empty(n)
-    min_eig = np.empty(n)
-    for i, state in enumerate(states):
-        diag = np.diagonal(state.matrix).real
-        trace[i] = diag.sum()
-        p_s[i] = diag @ state.space.singlet_diag
-        p_t[i] = diag @ state.space.triplet_diag
-        min_eig[i] = float(np.linalg.eigvalsh(state.matrix)[0])
-    return ObservableSeries(trace=trace, p_singlet=p_s, p_triplet=p_t, min_eigenvalue=min_eig)
+def _observe(stack: np.ndarray, space) -> ObservableSeries:
+    """Observables of a (T, d, d) snapshot stack, one array pass each.
+
+    p_singlet and p_triplet stay one 1-D dot product per snapshot: a
+    stacked matrix-vector product rounds differently for d >= 4.
+    """
+    diag = np.diagonal(stack, axis1=1, axis2=2).real
+    p_s = np.array([row @ space.singlet_diag for row in diag])
+    p_t = np.array([row @ space.triplet_diag for row in diag])
+    return ObservableSeries(
+        trace=diag.sum(axis=1),
+        p_singlet=p_s,
+        p_triplet=p_t,
+        min_eigenvalue=np.linalg.eigvalsh(stack)[:, 0],
+    )
 
 
 def analytic_jones_hore(rho_init: DensityMatrix, params: RateParams, t: float) -> DensityMatrix:

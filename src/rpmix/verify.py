@@ -60,7 +60,7 @@ BASE_TOL = 1e-8
 BASE_DT_SCALE = 1e-3  # reference step is 1e-3 / k_S
 DISCREPANCY_MARGIN = 10.0  # "significantly nonzero" = margin x tolerance
 FD_STEP_SCALE = 1e-5
-FD_TOL = 1e-6
+FD_TOL = 1e-6  # per unit k_S
 FORM_TOL = 1e-13  # per unit k_S
 
 # errors run_scenario records as a failed check instead of propagating
@@ -308,9 +308,10 @@ def check_weight_derivative(
 ) -> CheckRecord:
     """Central finite difference of the corrected weights vs the weight rate.
 
-    Also records the largest disagreement between the two algebraic
-    forms of the weight derivative along the samples; it is judged
-    against FORM_TOL * k_S, since both forms scale with k_S.
+    The deviation is judged against FD_TOL * k_S. Also records the
+    largest disagreement between the two algebraic forms of the weight
+    derivative along the samples, judged against FORM_TOL * k_S. The
+    rate, and with it both errors, scales with k_S.
     """
     mix = mixture_from_initial(rho_init)
     if not mix.p_t > 0.0:
@@ -332,12 +333,13 @@ def check_weight_derivative(
         devs.append(abs(rate - (w_plus[0] - w_minus[0]) / (2.0 * h)))
 
     worst, t_at = _max_over_grid(np.asarray(t_samples, dtype=float), devs)
+    tol = FD_TOL * k_s
     return CheckRecord(
         "weight-derivative",
         worst,
         t_at,
-        FD_TOL,
-        worst <= FD_TOL and form_gap <= FORM_TOL * k_s,
+        tol,
+        worst <= tol and form_gap <= FORM_TOL * k_s,
         details={"form_disagreement": form_gap, "fd_step": h},
     )
 

@@ -153,6 +153,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="YAML"):
             parse_config("space: [unclosed")
 
+    def test_exponent_without_sign_or_dot_is_a_float(self):
+        cfg = MINIMAL.replace("k_S: 1.0", "k_S: 1.0e4").replace(
+            "time:", "integrator:\n  method: rk4-fixed\n  dt: 1e-5\n  abs_tol: 1E-12\ntime:"
+        )
+        config = parse_config(cfg)
+        assert config.k_s == 1.0e4
+        assert config.dt == 1e-5
+        assert config.abs_tol == 1e-12
+        assert parse_config(emit_config(config)) == config
+
+    @pytest.mark.parametrize("value", ["fast", "1e", "e5", "1.0e4s"])
+    def test_non_numeric_rate_exits_2_naming_key(self, tmp_path, capsys, value):
+        config = write_config(tmp_path, MINIMAL.replace("k_S: 1.0", f"k_S: {value}"))
+        assert main(["run", "--config", str(config), "--quiet"]) == 2
+        assert "'k_S' must be a number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", [MINIMAL, FULL])
     def test_emit_round_trip(self, text):
         config = parse_config(text)

@@ -3,17 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from rpmix import integrator
 from rpmix.integrator import (
     IntegrationError,
     analytic_haberkorn,
     analytic_jones_hore,
     integrate,
 )
-from rpmix.models import ModelKind, ModelSingular, RateParams
+from rpmix.models import ModelKind, ModelSingular, RateParams, rhs_function
 from rpmix.spinspace import (
     DensityMatrix,
     electron_pair_space,
     frobenius_distance,
+    make_space,
+    preset_state,
     random_density_matrix,
     two_level_space,
 )
@@ -206,3 +209,109 @@ class TestTrajectoryInvariants:
                 )
             )
         assert runs[0] == runs[1]
+
+
+# The generator-sum Fehlberg step the stage-array step replaced, kept
+# literally as the reference the new step must reproduce bit for bit.
+_REF_A = (
+    (),
+    (1.0 / 4.0,),
+    (3.0 / 32.0, 9.0 / 32.0),
+    (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
+    (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
+    (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
+)
+_REF_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
+_REF_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
+
+
+def reference_rkf45_step(f, m, h):
+    k = [f(m)]
+    for row in _REF_A[1:]:
+        stage = m + h * sum(a * ki for a, ki in zip(row, k))
+        k.append(f(stage))
+    m4 = m + h * sum(b * ki for b, ki in zip(_REF_B4, k) if b != 0.0)
+    m5 = m + h * sum(b * ki for b, ki in zip(_REF_B5, k) if b != 0.0)
+    return m5, m5 - m4
+
+
+def reference_observe(states):
+    n = len(states)
+    trace, p_s, p_t, min_eig = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    for i, state in enumerate(states):
+        diag = np.diagonal(state.matrix).real
+        trace[i] = diag.sum()
+        p_s[i] = diag @ state.space.singlet_diag
+        p_t[i] = diag @ state.space.triplet_diag
+        min_eig[i] = float(np.linalg.eigvalsh(state.matrix)[0])
+    return trace, p_s, p_t, min_eig
+
+
+def assert_bit_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and np.array_equal(a, b)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
+
+
+SPACES = (SP2, SP4, make_space(8, (0, 1)))
+
+
+def step_states(space):
+    """Full-rank, diagonal (signed zeros off the diagonal) and coherent states."""
+    d = space.dim
+    diag = np.diag(np.linspace(1.0, 2.0, d) / np.linspace(1.0, 2.0, d).sum()).astype(complex)
+    coherent = 0.5 * diag + 0.5 * np.full((d, d), 1.0 / d)
+    negative_zeros = np.where(np.eye(d, dtype=bool), diag, complex(-0.0, -0.0))
+    states = [random_density_matrix(space, seed).matrix for seed in (0, 7)]
+    return states + [diag, negative_zeros, coherent]
+
+
+class TestStageArrayStep:
+    @pytest.mark.parametrize("space", SPACES, ids=lambda sp: f"d{sp.dim}")
+    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
+    def test_matches_generator_sum_reference(self, model, space):
+        f = rhs_function(model, space, RateParams(k_s=1.7))
+        for m in step_states(space):
+            for h in (1e-4, 0.013, 0.37, 2.5):
+                new = integrator._rkf45_step(f, m, h)
+                ref = reference_rkf45_step(f, m, h)
+                assert_bit_equal(new[0], ref[0])
+                assert_bit_equal(new[1], ref[1])
+
+    @pytest.mark.parametrize("space", SPACES, ids=lambda sp: f"d{sp.dim}")
+    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
+    @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
+    def test_observables_match_per_state_loop(self, model, space, method):
+        grid = np.linspace(0.0, 4.0, 201)
+        for rho in (random_density_matrix(space, 4), preset_state(space, "equal-mixture")):
+            traj = integrate(model, rho, RateParams(k_s=2.3), grid, method=method, dt=1e-2)
+            ref = reference_observe(traj.states)
+            obs = traj.observables
+            for new, old in zip((obs.trace, obs.p_singlet, obs.p_triplet, obs.min_eigenvalue), ref):
+                assert_bit_equal(new, old)
+            # the gate's stacked trace must equal DensityMatrix.trace
+            stack = np.array([s.matrix for s in traj.states])
+            assert_bit_equal(np.trace(stack, axis1=1, axis2=2).real, [s.trace for s in traj.states])
+
+
+class TestSnapshotGate:
+    GRID = [0.0, 0.5, 1.0, 1.5, 2.0]
+
+    def run_with_flow(self, monkeypatch, flow):
+        monkeypatch.setattr(integrator, "rhs_function", lambda model, space, params: lambda m: flow)
+        integrate(ModelKind.JONES_HORE, dm(SP2, np.diag([0.5, 0.5])), K1, self.GRID)
+
+    def test_negative_population_names_first_snapshot(self, monkeypatch):
+        # rho_00 = 0.5 - 0.6 t turns negative between t = 0.5 and t = 1
+        with pytest.raises(IntegrationError, match=r"^positivity violated at t = 1: min eigenvalue -1\.000e-01$"):
+            self.run_with_flow(monkeypatch, np.diag([-0.6, 0.0]).astype(complex))
+
+    def test_trace_above_one_names_first_snapshot(self, monkeypatch):
+        with pytest.raises(IntegrationError, match=r"^trace out of range at t = 0\.5: 1\.125$"):
+            self.run_with_flow(monkeypatch, np.diag([0.0, 0.25]).astype(complex))
+
+    def test_positivity_reported_before_trace_at_one_snapshot(self, monkeypatch):
+        # at t = 1 both rho_00 = -0.5 and the trace 0 are out of range
+        with pytest.raises(IntegrationError, match=r"^positivity violated at t = 1: min eigenvalue -5\.000e-01$"):
+            self.run_with_flow(monkeypatch, np.diag([-1.0, 0.0]).astype(complex))

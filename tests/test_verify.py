@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rpmix import kinetics, verify
 from rpmix.integrator import IntegrationError
@@ -333,3 +334,24 @@ class TestRateScale:
         assert {c.name for c in report.checks} == {
             "route-equivalence", "mixture-identity", "weight-derivative", "kominis-discrepancy",
         }
+
+    def test_weight_derivative_tolerance_scales_with_rate(self):
+        # the finite-difference deviation is 8.0e-12 k_S on this state at every
+        # rate; an absolute 1e-6 bound failed it at k_S = 1e6 (8.0e-6)
+        rho = random_density_matrix(SP4, 3)
+        record = check_weight_derivative(rho, 1.0e6)
+        assert record.passed, record
+        assert record.tolerance == pytest.approx(verify.FD_TOL * 1.0e6)
+        assert check_weight_derivative(rho, 1.0).tolerance == verify.FD_TOL
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        four_level=st.booleans(),
+        c=st.floats(min_value=1e-3, max_value=1e6),
+    )
+    def test_weight_derivative_verdict_invariant_under_rate_rescaling(self, seed, four_level, c):
+        rho = random_density_matrix(SP4 if four_level else SP2, seed)
+        taus = np.array([0.1, 0.5, 1.0, 2.0, 5.0])
+        base = check_weight_derivative(rho, 1.0, t_samples=taus)
+        scaled = check_weight_derivative(rho, c, t_samples=taus / c)
+        assert scaled.passed == base.passed
