@@ -12,8 +12,11 @@ The two unnormalized flows lose trace at the rate -k_S Tr(Q_S rho). The
 two normalized flows act on the unit-trace surviving-pair state and are
 traceless.
 
-Each flow has one implementation: the raw-matrix closure returned by
-:func:`rhs_function`, which is what the integrator runs.
+Each flow is written twice: :func:`rhs_function` returns a closure on
+one (d, d) matrix, which the adaptive stepper and the checks run, and
+:func:`stacked_rhs_function` a closure on a (B, d, d) stack, one kind
+per member, which the fixed-step stepper runs. A stack member rounds
+exactly as the one-matrix closure would round it alone.
 
 The normalized-jh form is written multiplied out, which removes the
 removable 0/0 at pure-singlet states (where it has the fixed point the
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,7 +40,15 @@ DENOM_FLOOR = 1e-12
 
 
 class ModelSingular(Exception):
-    """Raised where a master equation is genuinely undefined (zero denominator)."""
+    """Raised where a master equation is genuinely undefined (zero denominator).
+
+    ``member`` is the index of the offending member when a stacked
+    right-hand side raises it, and None otherwise.
+    """
+
+    def __init__(self, message: str, member: int | None = None):
+        super().__init__(message)
+        self.member = member
 
 
 class ModelKind(enum.Enum):
@@ -72,6 +83,22 @@ class RateParams:
             raise ValueError(f"k_s must be nonnegative, got {self.k_s}")
 
 
+def _singular(tr_t: float, member: int | None = None) -> ModelSingular:
+    return ModelSingular(
+        f"triplet population {tr_t:.3e} below floor {DENOM_FLOOR:.1e}; "
+        "normalized-kominis flow undefined",
+        member,
+    )
+
+
+def _decay(model: ModelKind, space: SpinSpace, k: float) -> np.ndarray:
+    """Entrywise rate matrix of a linear flow: f(m) = decay * m."""
+    if model is ModelKind.JONES_HORE:
+        return -k * (1.0 - space.triplet_mask)
+    s = space.singlet_diag
+    return -(k / 2.0) * (s[:, None] + s[None, :])
+
+
 def rhs_function(
     model: ModelKind, space: SpinSpace, params: RateParams
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -91,13 +118,8 @@ def rhs_function(
     k = params.k_s
     tt_mask = space.triplet_mask
 
-    if model is ModelKind.JONES_HORE:
-        decay = -k * (1.0 - tt_mask)
-        return lambda m: decay * m
-
-    if model is ModelKind.HABERKORN:
-        s = space.singlet_diag
-        decay = -(k / 2.0) * (s[:, None] + s[None, :])
+    if model is ModelKind.JONES_HORE or model is ModelKind.HABERKORN:
+        decay = _decay(model, space, k)
         return lambda m: decay * m
 
     if model is ModelKind.NORMALIZED_JONES_HORE:
@@ -114,12 +136,53 @@ def rhs_function(
             projected = tt_mask * m
             tr_t = projected.trace().real
             if tr_t < DENOM_FLOOR:
-                raise ModelSingular(
-                    f"triplet population {tr_t:.3e} below floor {DENOM_FLOOR:.1e}; "
-                    "normalized-kominis flow undefined"
-                )
+                raise _singular(tr_t)
             return -k * (m - projected / tr_t)
 
         return f_normalized_kominis
 
     raise ValueError(f"unhandled model {model!r}")
+
+
+def stacked_rhs_function(
+    kinds: Sequence[ModelKind], space: SpinSpace, params: RateParams
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The flows of rhs_function on a (B, d, d) stack, member b under ``kinds[b]``.
+
+    A stack is either all linear or all normalized, and each member
+    repeats its one-matrix formula: a linear member is multiplied by its
+    decay matrix, a normalized-jh member is scaled in place by its own
+    triplet trace and a normalized-kominis member has its projection
+    divided in place. Multiplying every member by a coefficient array
+    instead would also touch the members whose coefficient is 1 and could
+    flip the sign of their exact zeros.
+
+    Raises
+    ------
+    ModelSingular
+        As rhs_function, with the offending member's index in ``member``.
+    """
+    k = params.k_s
+    if not any(kind.is_normalized for kind in kinds):
+        decay = np.array([_decay(kind, space, k) for kind in kinds])
+        return lambda x: decay * x
+    if not all(kind.is_normalized for kind in kinds):
+        raise ValueError("a stack cannot mix linear and normalized flows")
+    tt_mask = space.triplet_mask
+    scaled = [b for b, kind in enumerate(kinds) if kind is ModelKind.NORMALIZED_JONES_HORE]
+    divided = [b for b, kind in enumerate(kinds) if kind is ModelKind.NORMALIZED_KOMINIS]
+
+    def f_stack(x: np.ndarray) -> np.ndarray:
+        projected = tt_mask * x
+        tr_t = projected.trace(axis1=1, axis2=2).real
+        for b in divided:
+            if tr_t[b] < DENOM_FLOOR:
+                raise _singular(tr_t[b], b)
+            projected[b] /= tr_t[b]
+        if scaled:
+            x = x.copy()
+            for b in scaled:
+                x[b] *= tr_t[b]
+        return -k * (x - projected)
+
+    return f_stack

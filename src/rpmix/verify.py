@@ -17,13 +17,20 @@ nonzero, because a confirmed discrepancy is the expected outcome.
 
 All deviations are Frobenius distances at grid points; a check's
 tolerance scales as dt^4 when the fixed integration step is changed.
+Deviations between time derivatives scale with the rate, so they are
+judged against the tolerance times k_S; the verdicts then depend only
+on k_S t.
 
-Route B is integrated once per scenario (:func:`route_b`) and that one
-trajectory is shared by every check that judges it; each such check
-takes it as an argument and reads its grid from ``traj.times``.
-:func:`run_scenario` turns every library error into a failed check that
-names its cause; a failure of route B itself is recorded under each
-check that depends on it.
+Route B is integrated once per scenario and that one trajectory is
+shared by every check that judges it; each such check takes it as an
+argument and reads its grid from ``traj.times``. When the discrepancy
+check applies, :func:`run_scenario` integrates route B and the
+normalized-kominis route together, as one two-member fixed-step stack
+(:func:`rpmix.integrator.integrate_stack`), and the discrepancy check
+takes the kominis trajectory as an argument too. :func:`run_scenario`
+turns every library error into a failed check that names its cause; a
+failure of route B is recorded under each check that depends on it,
+and a failure of the kominis route under the discrepancy check.
 """
 
 from __future__ import annotations
@@ -32,7 +39,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrator import IntegrationError, Trajectory, analytic_jones_hore, integrate
+from .integrator import (
+    IntegrationError,
+    Trajectory,
+    analytic_jones_hore,
+    integrate,
+    integrate_stack,
+)
 from .kinetics import (
     P_FLOOR,
     AllReacted,
@@ -86,7 +99,7 @@ class Scenario:
 
     @property
     def step(self) -> float:
-        return self.dt if self.dt is not None else BASE_DT_SCALE / self.k_s
+        return _step(self.k_s, self.dt)
 
     def descriptor(self) -> dict:
         m = self.rho_init.matrix
@@ -161,9 +174,13 @@ class ConsistencyReport:
         }
 
 
+def _step(k_s: float, dt: float | None) -> float:
+    """The fixed RK4 step of the routes: dt, or BASE_DT_SCALE / k_S when dt is None."""
+    return dt if dt is not None else BASE_DT_SCALE / k_s
+
+
 def _tolerance(k_s: float, dt: float | None) -> float:
-    step = dt if dt is not None else BASE_DT_SCALE / k_s
-    return BASE_TOL * (step * k_s / BASE_DT_SCALE) ** 4
+    return BASE_TOL * (_step(k_s, dt) * k_s / BASE_DT_SCALE) ** 4
 
 
 def route_b(rho_init: DensityMatrix, k_s: float, grid, dt: float | None) -> Trajectory:
@@ -178,7 +195,7 @@ def route_b(rho_init: DensityMatrix, k_s: float, grid, dt: float | None) -> Traj
         RateParams(k_s=k_s),
         grid,
         method="rk4-fixed",
-        dt=dt if dt is not None else BASE_DT_SCALE / k_s,
+        dt=_step(k_s, dt),
     )
 
 
@@ -213,7 +230,9 @@ def check_mixture_identity(
     Also compares the mixture's derivative against the normalized flow's
     right-hand side at every grid point. With the corrected weights both
     deviations stay at integration accuracy; with the disputed scheme
-    this check is expected to fail for 0 < p_T < 1.
+    this check is expected to fail for 0 < p_T < 1. The states are
+    judged against the tolerance and the derivatives, which scale with
+    k_S, against tolerance * k_S.
     """
     flow = rhs_function(ModelKind.NORMALIZED_JONES_HORE, rho_init.space, RateParams(k_s=k_s))
     mix = mixture_from_initial(rho_init)
@@ -225,6 +244,7 @@ def check_mixture_identity(
         state_devs.append(frobenius_distance(recon, state))
         rhs_devs.append(frobenius_distance(mixture_rhs(mix, w, k_s), flow(recon.matrix)))
     tol = _tolerance(k_s, dt)
+    rhs_tol = tol * k_s
     state_worst, t_state = _max_over_grid(traj.times, state_devs)
     rhs_worst, t_rhs = _max_over_grid(traj.times, rhs_devs)
     worst, t_at = max((state_worst, t_state), (rhs_worst, t_rhs))
@@ -233,39 +253,39 @@ def check_mixture_identity(
         worst,
         t_at,
         tol,
-        state_worst <= tol and rhs_worst <= tol,
+        state_worst <= tol and rhs_worst <= rhs_tol,
         details={
             "scheme": scheme,
             "state_deviation": state_worst,
             "rhs_deviation": rhs_worst,
+            "rhs_tolerance": rhs_tol,
         },
     )
 
 
 def check_kominis_discrepancy(
-    rho_init: DensityMatrix, k_s: float, traj: Trajectory, dt: float | None = None
+    rho_init: DensityMatrix,
+    k_s: float,
+    traj: Trajectory,
+    alt_traj: Trajectory,
+    dt: float | None = None,
 ) -> tuple[CheckRecord, DivergenceCurve]:
     """Quantify how far the disputed weights drift from route B, the normalized flow.
 
-    Passes when the divergence is significantly nonzero (at least
-    DISCREPANCY_MARGIN times the integration tolerance) and the disputed
-    reconstruction agrees with direct integration of the alternative
-    normalized equation, confirming that the two are the same dynamics.
+    ``alt_traj`` is the alternative normalized (normalized-kominis) flow
+    integrated with the same fixed step over route B's grid. Passes when
+    the divergence is significantly nonzero (at least DISCREPANCY_MARGIN
+    times the integration tolerance) and the disputed reconstruction
+    agrees with that trajectory, confirming that the two are the same
+    dynamics.
     """
     mix = mixture_from_initial(rho_init)
     if not 0.0 < mix.p_t < 1.0:
         raise ValueError(
             f"discrepancy check requires 0 < p_T < 1, got p_T = {mix.p_t:.6g}"
         )
-    params = RateParams(k_s=k_s)
-    alt_traj = integrate(
-        ModelKind.NORMALIZED_KOMINIS,
-        rho_init,
-        params,
-        traj.times,
-        method="rk4-fixed",
-        dt=dt if dt is not None else BASE_DT_SCALE / k_s,
-    )
+    if not np.array_equal(alt_traj.times, traj.times):
+        raise ValueError("the alternative-flow trajectory must share route B's grid")
 
     p_corr = np.empty(traj.times.size)
     p_dis = np.empty(traj.times.size)
@@ -352,13 +372,16 @@ def check_kominis_singularity(
     Passes when integration raises the singular-model error while route
     B, the regular normalized flow from the same state, stays constant.
     """
-    params = RateParams(k_s=k_s)
-    step = dt if dt is not None else BASE_DT_SCALE / k_s
     raised = False
     message = None
     try:
         integrate(
-            ModelKind.NORMALIZED_KOMINIS, rho_init, params, traj.times, method="rk4-fixed", dt=step
+            ModelKind.NORMALIZED_KOMINIS,
+            rho_init,
+            RateParams(k_s=k_s),
+            traj.times,
+            method="rk4-fixed",
+            dt=_step(k_s, dt),
         )
     except ModelSingular as exc:
         raised = True
@@ -406,13 +429,19 @@ def default_battery() -> list[Scenario]:
 def run_scenario(scenario: Scenario, scheme: str = "corrected") -> ConsistencyReport:
     """Run every check applicable to the scenario's initial state.
 
-    Route B is integrated once and shared by the checks that judge it.
-    Every library error becomes a failed check whose ``error`` names the
-    cause; if route B itself fails, each check on it records that error.
+    Route B is integrated once and shared by the checks that judge it;
+    when the discrepancy check applies, the kominis route is integrated
+    in the same stack. Every library error becomes a failed check whose
+    ``error`` names the cause; if a route itself fails, each check on it
+    records that error, route B's first.
     """
     rho, k_s, dt = scenario.rho_init, scenario.k_s, scenario.dt
     p_t = mixture_from_initial(rho).p_t
     tol = _tolerance(k_s, dt)
+    discrepancy = P_FLOOR < p_t < 1.0 - P_FLOOR
+    models = [ModelKind.NORMALIZED_JONES_HORE]
+    if discrepancy:
+        models.append(ModelKind.NORMALIZED_KOMINIS)
 
     def failed(name, exc):
         return CheckRecord(name, None, None, tol, False, error=str(exc))
@@ -424,29 +453,31 @@ def run_scenario(scenario: Scenario, scheme: str = "corrected") -> ConsistencyRe
             return failed(name, exc)
 
     try:
-        traj, route_b_error = route_b(rho, k_s, scenario.grid, dt), None
+        routes = integrate_stack(models, rho, RateParams(k_s=k_s), scenario.grid, _step(k_s, dt))
     except CONTAINED_ERRORS as exc:
-        traj, route_b_error = None, exc
+        routes = (exc,) * len(models)
 
-    def on_route_b(name, check, *args):
-        if route_b_error is not None:
-            return failed(name, route_b_error)
-        return contained(name, lambda: check(rho, k_s, traj, dt, *args))
+    def on_routes(name, check, routes, *args):
+        for route in routes:
+            if isinstance(route, Exception):
+                return failed(name, route)
+        return contained(name, lambda: check(rho, k_s, *routes, dt, *args))
 
+    route_b_only = routes[:1]
     checks = [
-        on_route_b("route-equivalence", check_route_equivalence),
-        on_route_b("mixture-identity", check_mixture_identity, scheme),
+        on_routes("route-equivalence", check_route_equivalence, route_b_only),
+        on_routes("mixture-identity", check_mixture_identity, route_b_only, scheme),
     ]
     divergence = None
     if p_t > P_FLOOR:
         checks.append(contained("weight-derivative", lambda: check_weight_derivative(rho, k_s)))
-    if P_FLOOR < p_t < 1.0 - P_FLOOR:
-        outcome = on_route_b("kominis-discrepancy", check_kominis_discrepancy)
+    if discrepancy:
+        outcome = on_routes("kominis-discrepancy", check_kominis_discrepancy, routes)
         if isinstance(outcome, tuple):
             outcome, divergence = outcome
         checks.append(outcome)
     elif p_t <= P_FLOOR:
-        checks.append(on_route_b("kominis-singularity", check_kominis_singularity))
+        checks.append(on_routes("kominis-singularity", check_kominis_singularity, route_b_only))
     return ConsistencyReport(scenario.descriptor(), tuple(checks), divergence)
 
 

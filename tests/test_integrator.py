@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rpmix import integrator
 from rpmix.integrator import (
@@ -9,8 +10,9 @@ from rpmix.integrator import (
     analytic_haberkorn,
     analytic_jones_hore,
     integrate,
+    integrate_stack,
 )
-from rpmix.models import ModelKind, ModelSingular, RateParams, rhs_function
+from rpmix.models import ModelKind, ModelSingular, RateParams, rhs_function, stacked_rhs_function
 from rpmix.spinspace import (
     DensityMatrix,
     electron_pair_space,
@@ -315,3 +317,169 @@ class TestSnapshotGate:
         # at t = 1 both rho_00 = -0.5 and the trace 0 are out of range
         with pytest.raises(IntegrationError, match=r"^positivity violated at t = 1: min eigenvalue -5\.000e-01$"):
             self.run_with_flow(monkeypatch, np.diag([-1.0, 0.0]).astype(complex))
+
+
+NJH, NK = ModelKind.NORMALIZED_JONES_HORE, ModelKind.NORMALIZED_KOMINIS
+JH, HAB = ModelKind.JONES_HORE, ModelKind.HABERKORN
+
+
+def outcome_of(fn):
+    try:
+        return fn()
+    except (IntegrationError, ModelSingular) as exc:
+        return exc
+
+
+def assert_same_outcome(got, want):
+    """Equal trajectories bit for bit, sign bits included, or equal errors."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert not isinstance(got, Exception), got
+    assert np.array_equal(got.times, want.times)
+    assert_bit_equal(np.array([s.matrix for s in got.states]), np.array([s.matrix for s in want.states]))
+    for name in ("trace", "p_singlet", "p_triplet", "min_eigenvalue"):
+        assert_bit_equal(getattr(got.observables, name), getattr(want.observables, name))
+
+
+def reference_rk4_states(model, rho, params, grid, dt):
+    """The one-matrix RK4 loop the stacked loop replaced, kept literally."""
+    f = rhs_function(model, rho.space, params)
+    m = rho.matrix
+    states = [m]
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        n_sub = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
+        h = (t1 - t0) / n_sub
+        for _ in range(n_sub):
+            k1 = f(m)
+            k2 = f(m + (0.5 * h) * k1)
+            k3 = f(m + (0.5 * h) * k2)
+            k4 = f(m + h * k3)
+            m = m + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            m = 0.5 * (m + m.conj().T)
+        states.append(m)
+    return np.array(states)
+
+
+def stack_state(space, kind, seed):
+    """A random full-rank state, a diagonal one with -0.0 off the diagonal, or a pure superposition."""
+    if kind == "random":
+        return random_density_matrix(space, seed)
+    rng = np.random.default_rng(seed)
+    if kind == "diagonal":
+        pops = rng.uniform(0.1, 1.0, space.dim)
+        m = np.where(np.eye(space.dim, dtype=bool), np.diag(pops / pops.sum()), complex(-0.0, -0.0))
+        return DensityMatrix(space, m)
+    psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    psi /= np.linalg.norm(psi)
+    return DensityMatrix(space, np.outer(psi, psi.conj()))
+
+
+STACKS = ((NJH, NK), (NK, NJH), (NJH, NJH, NK), (JH, HAB), (HAB, JH, HAB))
+
+
+class TestStackedRK4:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        stack=st.sampled_from(STACKS),
+        space=st.sampled_from(SPACES),
+        kind=st.sampled_from(["random", "diagonal", "superposition"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        k_s=st.sampled_from([0.5, 1.0, 3.7]),
+        k_dt=st.sampled_from([0.01, 0.037, 0.1]),
+        steps=st.lists(st.floats(min_value=0.05, max_value=0.5), min_size=1, max_size=5),
+    )
+    def test_members_match_lone_integrate_calls(self, stack, space, kind, seed, k_s, k_dt, steps):
+        rho = stack_state(space, kind, seed)
+        params, dt = RateParams(k_s=k_s), k_dt / k_s
+        grid = np.concatenate([[0.0], np.cumsum(steps)]) / k_s
+        outcomes = integrate_stack(stack, rho, params, grid, dt)
+        assert len(outcomes) == len(stack)
+        for model, outcome in zip(stack, outcomes):
+            lone = outcome_of(lambda: integrate(model, rho, params, grid, method="rk4-fixed", dt=dt))
+            assert_same_outcome(outcome, lone)
+            if not isinstance(lone, Exception):
+                states = np.array([s.matrix for s in lone.states])
+                assert_bit_equal(states, reference_rk4_states(model, rho, params, grid, dt))
+
+    def test_singular_member_leaves_the_stack(self):
+        # normalized-kominis is undefined from the pure singlet; route B goes on
+        rho = preset_state(SP4, "pure-singlet")
+        grid = np.linspace(0.0, 1.0, 11)
+        traj, singular = integrate_stack((NJH, NK), rho, K1, grid, 1e-2)
+        assert_same_outcome(traj, integrate(NJH, rho, K1, grid, method="rk4-fixed", dt=1e-2))
+        assert isinstance(singular, ModelSingular)
+        assert str(singular) == str(outcome_of(lambda: integrate(NK, rho, K1, grid, method="rk4-fixed", dt=1e-2)))
+        assert singular.__cause__ is not None
+
+    def test_unit_trace_is_required_per_member(self):
+        rho = dm(SP2, np.diag([0.25, 0.25]))
+        for outcome in integrate_stack((JH, HAB), rho, K1, [0.0, 1.0], 0.1):
+            assert isinstance(outcome, integrator.Trajectory)
+        for outcome in integrate_stack((NJH, NK), rho, K1, [0.0, 1.0], 0.1):
+            assert isinstance(outcome, IntegrationError) and "unit-trace" in str(outcome)
+
+    def test_stack_cannot_mix_linear_and_normalized_flows(self):
+        with pytest.raises(ValueError, match="cannot mix"):
+            integrate_stack((JH, NJH), preset_state(SP2, "equal-mixture"), K1, [0.0, 1.0], 0.1)
+
+    @pytest.mark.parametrize("space", SPACES, ids=lambda sp: f"d{sp.dim}")
+    @pytest.mark.parametrize("stack", STACKS + ((NJH,), (NK,), (JH,), (HAB,)), ids=lambda s: "+".join(m.value for m in s))
+    def test_members_match_the_one_matrix_closures(self, stack, space):
+        f = stacked_rhs_function(stack, space, RateParams(k_s=1.7))
+        lone = [rhs_function(model, space, RateParams(k_s=1.7)) for model in stack]
+        for m in step_states(space):
+            out = f(np.array([m] * len(stack)))
+            for b, g in enumerate(lone):
+                assert_bit_equal(out[b], g(m))
+
+
+def count_rhs_calls(monkeypatch):
+    calls = []
+    build = integrator.stacked_rhs_function
+
+    def counting(*args):
+        f = build(*args)
+
+        def rhs(m):
+            calls.append(1)
+            return f(m)
+
+        return rhs
+
+    monkeypatch.setattr(integrator, "stacked_rhs_function", counting)
+    return calls
+
+
+FIXED_POINTS = [(NJH, "pure-singlet"), (NJH, "pure-triplet"), (HAB, "pure-triplet"), (JH, "pure-triplet")]
+
+
+class TestFixedPointFreeze:
+    GRID = np.linspace(0.0, 3.0, 31)
+    DT = 1e-2  # 10 substeps per snapshot, 300 in all
+
+    def frozen_and_stepped(self, monkeypatch, model, rho):
+        calls = count_rhs_calls(monkeypatch)
+        frozen = integrate(model, rho, RateParams(k_s=1.7), self.GRID, method="rk4-fixed", dt=self.DT)
+        n_frozen = len(calls)
+        monkeypatch.setattr(integrator, "_is_fixed_point", lambda *args: False)
+        stepped = integrate(model, rho, RateParams(k_s=1.7), self.GRID, method="rk4-fixed", dt=self.DT)
+        return frozen, stepped, n_frozen, len(calls) - n_frozen
+
+    @pytest.mark.parametrize("space", SPACES, ids=lambda sp: f"d{sp.dim}")
+    @pytest.mark.parametrize("model, preset", FIXED_POINTS, ids=lambda v: getattr(v, "value", v))
+    def test_freezing_matches_stepping(self, monkeypatch, model, preset, space):
+        frozen, stepped, n_frozen, n_stepped = self.frozen_and_stepped(monkeypatch, model, preset_state(space, preset))
+        assert n_frozen == 4  # the one probing step
+        assert n_stepped == 4 * (1 + 300)
+        assert_same_outcome(frozen, stepped)
+        # every snapshot is still its own validated DensityMatrix
+        assert len({id(state) for state in frozen.states}) == self.GRID.size
+
+    @pytest.mark.parametrize("model", [NJH, HAB, JH], ids=lambda m: m.value)
+    def test_one_ulp_off_the_fixed_point_does_not_freeze(self, monkeypatch, model):
+        tiny = np.nextafter(0.0, 1.0)
+        rho = dm(SP2, np.diag([tiny, 1.0]))
+        frozen, stepped, n_frozen, n_stepped = self.frozen_and_stepped(monkeypatch, model, rho)
+        assert n_frozen == n_stepped == 4 * (1 + 300)
+        assert_same_outcome(frozen, stepped)

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from rpmix import kinetics, verify
+from rpmix import integrator, kinetics, models, verify
 from rpmix.integrator import IntegrationError
 from rpmix.kinetics import P_FLOOR, mixture_from_initial
-from rpmix.models import ModelKind
+from rpmix.integrator import integrate
+from rpmix.models import ModelKind, RateParams
 from rpmix.spinspace import (
     DensityMatrix,
     electron_pair_space,
@@ -36,6 +37,14 @@ SHORT_GRID = np.linspace(0.0, 2.0, 21)
 def b(rho, grid=GRID, dt=None):
     """Route B on the unit-rate grid the check tests use."""
     return route_b(rho, 1.0, grid, dt)
+
+
+def kominis_route(rho, k_s=1.0, grid=GRID, dt=None):
+    """The alternative normalized flow, integrated as run_scenario does alongside route B."""
+    return integrate(
+        ModelKind.NORMALIZED_KOMINIS, rho, RateParams(k_s=k_s), grid,
+        method="rk4-fixed", dt=dt if dt is not None else verify.BASE_DT_SCALE / k_s,
+    )
 
 
 def dm(entries, space=SP2):
@@ -107,7 +116,7 @@ class TestMixtureIdentity:
 
 class TestKominisDiscrepancy:
     def test_equal_mixture_closed_form_values(self):
-        record, curve = check_kominis_discrepancy(EQUAL_MIX, 1.0, b(EQUAL_MIX))
+        record, curve = check_kominis_discrepancy(EQUAL_MIX, 1.0, b(EQUAL_MIX), kominis_route(EQUAL_MIX))
         assert record.passed
         i = 10  # t = 1.0 on this grid
         assert curve.times[i] == pytest.approx(1.0)
@@ -117,19 +126,26 @@ class TestKominisDiscrepancy:
         assert curve.delta[0] == 0.0
 
     def test_disputed_route_matches_alternative_flow(self):
-        record, _ = check_kominis_discrepancy(EQUAL_MIX, 1.0, b(EQUAL_MIX))
+        record, _ = check_kominis_discrepancy(EQUAL_MIX, 1.0, b(EQUAL_MIX), kominis_route(EQUAL_MIX))
         assert record.details["alternative_flow_agreement"] <= 1e-8
 
     def test_requires_mixed_state(self):
+        # the ValueError comes before either trajectory is read
+        route = b(PURE_T, SHORT_GRID)
         with pytest.raises(ValueError, match="requires 0 < p_T < 1"):
-            check_kominis_discrepancy(PURE_T, 1.0, b(PURE_T, SHORT_GRID))
+            check_kominis_discrepancy(PURE_T, 1.0, route, route)
+        route = b(PURE_S, SHORT_GRID)
         with pytest.raises(ValueError, match="requires 0 < p_T < 1"):
-            check_kominis_discrepancy(PURE_S, 1.0, b(PURE_S, SHORT_GRID))
+            check_kominis_discrepancy(PURE_S, 1.0, route, route)
+
+    def test_requires_the_route_b_grid(self):
+        with pytest.raises(ValueError, match="share route B's grid"):
+            check_kominis_discrepancy(EQUAL_MIX, 1.0, b(EQUAL_MIX), kominis_route(EQUAL_MIX, grid=SHORT_GRID))
 
     def test_divergence_significant_for_all_mixed_battery_states(self):
         for p_t in (0.25, 0.5, 0.75):
             rho = dm(np.diag([1.0 - p_t, p_t]))
-            record, curve = check_kominis_discrepancy(rho, 1.0, b(rho))
+            record, curve = check_kominis_discrepancy(rho, 1.0, b(rho), kominis_route(rho))
             assert record.passed
             assert np.max(np.abs(curve.delta)) >= 1e-3
 
@@ -232,7 +248,7 @@ def independent_report(scenario, scheme="corrected"):
     if p_t > P_FLOOR:
         checks.append(check_weight_derivative(rho, k_s))
     if P_FLOOR < p_t < 1.0 - P_FLOOR:
-        record, curve = check_kominis_discrepancy(rho, k_s, traj, dt)
+        record, curve = check_kominis_discrepancy(rho, k_s, traj, kominis_route(rho, k_s, scenario.grid, dt), dt)
         checks.append(record)
     elif p_t <= P_FLOOR:
         checks.append(check_kominis_singularity(rho, k_s, traj, dt))
@@ -242,19 +258,28 @@ def independent_report(scenario, scheme="corrected"):
 class TestSharedRouteB:
     @pytest.mark.parametrize("scheme", ["corrected", "kominis"])
     @pytest.mark.parametrize(
-        "rho", [PURE_S, PURE_T, EQUAL_MIX, SUPER], ids=["pT-0", "pT-1", "mixed", "superposition"]
+        "rho, kominis_runs",
+        [(PURE_S, 1), (PURE_T, 0), (EQUAL_MIX, 1), (SUPER, 1)],
+        ids=["pT-0", "pT-1", "mixed", "superposition"],
     )
-    def test_route_b_integrated_once_per_scenario(self, monkeypatch, rho, scheme):
+    def test_route_b_integrated_once_per_scenario(self, monkeypatch, rho, kominis_runs, scheme):
+        # every trajectory run_scenario integrates, lone or as a stack member
         models = []
-        integrate = verify.integrate
+        integrate, integrate_stack = verify.integrate, verify.integrate_stack
 
         def counting(model, *args, **kwargs):
             models.append(model)
             return integrate(model, *args, **kwargs)
 
+        def counting_stack(stack_models, *args, **kwargs):
+            models.extend(stack_models)
+            return integrate_stack(stack_models, *args, **kwargs)
+
         monkeypatch.setattr(verify, "integrate", counting)
+        monkeypatch.setattr(verify, "integrate_stack", counting_stack)
         run_scenario(Scenario(label="count", rho_init=rho, t_end=2.0, n_snapshots=21), scheme)
         assert models.count(ModelKind.NORMALIZED_JONES_HORE) == 1
+        assert models.count(ModelKind.NORMALIZED_KOMINIS) == kominis_runs
 
     @pytest.mark.parametrize("index", range(10), ids=[s.label for s in default_battery()])
     def test_sharing_is_bit_exact(self, suite_reports, index):
@@ -275,14 +300,16 @@ class TestSharedRouteB:
                 assert np.array_equal(getattr(report.divergence, name), getattr(curve, name))
 
     def test_route_b_failure_fans_out_to_every_dependent_check(self, monkeypatch):
-        integrate = verify.integrate
+        integrate_stack = verify.integrate_stack
 
-        def failing(model, *args, **kwargs):
-            if model is ModelKind.NORMALIZED_JONES_HORE:
-                raise IntegrationError("route B broke")
-            return integrate(model, *args, **kwargs)
+        def failing(models, *args, **kwargs):
+            outcomes = integrate_stack(models, *args, **kwargs)
+            return tuple(
+                IntegrationError("route B broke") if model is ModelKind.NORMALIZED_JONES_HORE else outcome
+                for model, outcome in zip(models, outcomes)
+            )
 
-        monkeypatch.setattr(verify, "integrate", failing)
+        monkeypatch.setattr(verify, "integrate_stack", failing)
         report = run_scenario(Scenario(label="fan-out", rho_init=EQUAL_MIX, t_end=2.0, n_snapshots=21))
         records = {c.name: c for c in report.checks}
         for name in ("route-equivalence", "mixture-identity", "kominis-discrepancy"):
@@ -290,6 +317,56 @@ class TestSharedRouteB:
                 name, None, None, 1e-8, False, error="route B broke"
             )
         assert records["weight-derivative"].passed
+        assert report.divergence is None
+
+
+def nan_when_triplet_above(level):
+    """Wrap integrator.stacked_rhs_function: a normalized-kominis member turns
+    non-finite once its triplet population passes ``level``, in a stack or alone."""
+    build = integrator.stacked_rhs_function
+
+    def faulty(kinds, space, params):
+        f = build(kinds, space, params)
+        kominis = [b for b, kind in enumerate(kinds) if kind is ModelKind.NORMALIZED_KOMINIS]
+
+        def rhs(x):
+            out = f(x)
+            for b in kominis:
+                if x[b].diagonal().real @ space.triplet_diag > level:
+                    out[b] = np.nan
+            return out
+
+        return rhs
+
+    return faulty
+
+
+class TestStackedRoutes:
+    SCENARIO = Scenario(label="mixed", rho_init=EQUAL_MIX, t_end=2.0, n_snapshots=21)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fault", ["singular", "non-finite"])
+    def test_kominis_failure_leaves_route_b_checks_unchanged(self, monkeypatch, fault):
+        clean = {c.name: c for c in run_scenario(self.SCENARIO).checks}
+        if fault == "singular":
+            # the kominis route starts at triplet population 0.5, below this floor
+            monkeypatch.setattr(models, "DENOM_FLOOR", 0.75)
+        else:
+            # reached between t = 0.9 and t = 1 on the kominis route
+            monkeypatch.setattr(integrator, "stacked_rhs_function", nan_when_triplet_above(0.8))
+        lone = integrate(ModelKind.NORMALIZED_JONES_HORE, EQUAL_MIX, RateParams(k_s=1.0), self.SCENARIO.grid,
+                         method="rk4-fixed", dt=1e-3)
+        with pytest.raises((models.ModelSingular, IntegrationError)) as alone:
+            kominis_route(EQUAL_MIX, grid=self.SCENARIO.grid)
+        report = run_scenario(self.SCENARIO)
+        records = {c.name: c for c in report.checks}
+        for name in ("route-equivalence", "mixture-identity", "weight-derivative"):
+            assert records[name] == clean[name]
+        assert records["route-equivalence"] == check_route_equivalence(EQUAL_MIX, 1.0, lone)
+        assert records["kominis-discrepancy"] == verify.CheckRecord(
+            "kominis-discrepancy", None, None, 1e-8, False, error=str(alone.value)
+        )
+        assert ("below floor 7.5e-01" if fault == "singular" else "invalid state at t = 1:") in str(alone.value)
         assert report.divergence is None
 
 
@@ -355,3 +432,35 @@ class TestRateScale:
         base = check_weight_derivative(rho, 1.0, t_samples=taus)
         scaled = check_weight_derivative(rho, c, t_samples=taus / c)
         assert scaled.passed == base.passed
+
+    def test_mixture_identity_rhs_bound_scales_with_rate(self):
+        # the RHS deviation is 1.75e-16 k_S on this state; against the
+        # dimensionless 1e-8 it failed at k_S = 1e9 (2.9e-7) on a correct state
+        scenario = Scenario(
+            label="faster", rho_init=random_density_matrix(SP4, 3), k_s=1.0e9, t_end=1.0e-8
+        )
+        report = run_scenario(scenario)
+        assert report.all_passed, [(c.name, c.max_deviation, c.error) for c in report.checks if not c.passed]
+        record = next(c for c in report.checks if c.name == "mixture-identity")
+        assert record.details["rhs_tolerance"] == pytest.approx(record.tolerance * 1.0e9)
+        assert record.details["rhs_deviation"] > record.tolerance
+        unit = check_mixture_identity(EQUAL_MIX, 1.0, b(EQUAL_MIX))
+        assert unit.details["rhs_tolerance"] == unit.tolerance
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        four_level=st.booleans(),
+        scheme=st.sampled_from(["corrected", "kominis"]),
+        base=st.sampled_from([1.0, 1.0e3]),
+        c=st.floats(min_value=1e-3, max_value=1e6),
+    )
+    def test_mixture_identity_verdict_invariant_under_rate_rescaling(self, seed, four_level, scheme, base, c):
+        rho = random_density_matrix(SP4 if four_level else SP2, seed)
+        taus = np.linspace(0.0, 0.5, 3)
+
+        def verdict(k_s):
+            traj = route_b(rho, k_s, taus / k_s, None)
+            return check_mixture_identity(rho, k_s, traj, None, scheme).passed
+
+        assert verdict(c * base) == verdict(base)
