@@ -11,9 +11,12 @@ Subcommands:
   model on a common grid.
 
 Configuration is a YAML document with nested sections; see
-``CONFIG_SCHEMA`` below for the exact keys. Unknown keys are errors,
-not warnings. A copy of the parsed config is echoed next to the outputs
-so every artifact is reproducible from its own directory.
+``CONFIG_SCHEMA`` below for the exact keys. ``_KEYS`` declares each key
+once, with its check and default, and parsing, the unknown-key
+rejection and the echo all read it. Unknown keys are errors, not
+warnings, and every config error names its key path. A copy of the
+parsed config, with a ``--seed`` override applied, is echoed next to
+the outputs so every artifact is reproducible from its own directory.
 
 Exit codes: 0 success / all checks passed, 1 check failure,
 2 configuration error, 3 integration failure.
@@ -45,9 +48,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +69,7 @@ from .kinetics import WEIGHT_SCHEMES
 from .models import ModelKind, ModelSingular, RateParams
 from .spinspace import (
     PRESET_NAMES,
+    TRACE_TOL,
     DensityMatrix,
     SpinSpace,
     make_space,
@@ -85,9 +90,9 @@ models: [<model name>, ...] # required; jones-hore | haberkorn |
 weight_scheme: corrected | kominis          # default corrected
 integrator:                 # optional
   method: rk45-adaptive | rk4-fixed         # default rk45-adaptive
-  dt: <float > 0>                           # default 1e-3 / k_S
   rel_tol: <float > 0>                      # default 1e-9
   abs_tol: <float >= 0>                     # default 1e-12
+  dt: <float > 0>                           # default 1e-3 / k_S
 time:                       # required
   t_end: <float > 0>
   n_snapshots: <int >= 2>
@@ -120,20 +125,22 @@ class InitialStateSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A parsed config; every field is one row of ``_KEYS``, which holds its default."""
+
     dim: int
     singlet_indices: tuple[int, ...]
     initial_state: InitialStateSpec
     k_s: float
     models: tuple[ModelKind, ...]
+    weight_scheme: str
+    method: str
+    rel_tol: float
+    abs_tol: float
+    dt: float | None
     t_end: float
     n_snapshots: int
-    weight_scheme: str = "corrected"
-    method: str = "rk45-adaptive"
-    dt: float | None = None
-    rel_tol: float = DEFAULT_REL_TOL
-    abs_tol: float = DEFAULT_ABS_TOL
-    csv_path: str = "trajectory.csv"
-    report_path: str = "report.json"
+    csv_path: str
+    report_path: str
 
     @property
     def space(self) -> SpinSpace:
@@ -152,21 +159,20 @@ class _ConfigLoader(yaml.SafeLoader):
     """
 
 
-_ConfigLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
-    list("-+0123456789."),
-)
+class _ConfigDumper(yaml.SafeDumper):
+    """SafeDumper that quotes the strings _ConfigLoader would read as floats."""
 
 
-def _require(mapping: dict, key: str, path: str):
-    if key not in mapping:
-        raise ConfigError(f"missing required key '{_join(path, key)}'")
-    return mapping[key]
+for _yaml_class in (_ConfigLoader, _ConfigDumper):
+    _yaml_class.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+        list("-+0123456789."),
+    )
 
 
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
+# Every check takes (value, key path, the fields parsed so far) and returns
+# the field's value or raises a ConfigError naming the key path.
 
 
 def _as_mapping(value, path: str) -> dict:
@@ -184,36 +190,72 @@ def _as_int(value, path: str) -> int:
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{path}' must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"'{path}' must be finite, got {value!r}")
     return float(value)
 
 
-def _as_str(value, path: str) -> str:
+def _as_str(value, path: str, parsed=None) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"'{path}' must be a string, got {value!r}")
     return value
 
 
-def _reject_unknown(mapping: dict, known: tuple, path: str) -> None:
-    for key in mapping:
-        if key not in known:
-            raise ConfigError(f"unknown key '{_join(path, key)}'")
+def _checked(convert, ok, requirement: str):
+    """The check that converts a value and rejects it unless ok(value)."""
+
+    def check(value, path: str, parsed):
+        converted = convert(value, path)
+        if not ok(converted):
+            raise ConfigError(f"'{path}' must be {requirement}, got {converted!r}")
+        return converted
+
+    return check
 
 
-def _parse_initial_state(value, dim: int) -> InitialStateSpec:
-    path = "initial_state"
+def _one_of(choices: tuple[str, ...]):
+    return _checked(_as_str, lambda name: name in choices, f"one of {', '.join(choices)}")
+
+
+_AT_LEAST_2 = _checked(_as_int, lambda n: n >= 2, "at least 2")
+_POSITIVE = _checked(_as_float, lambda x: x > 0.0, "positive")
+_NONNEGATIVE = _checked(_as_float, lambda x: x >= 0.0, "nonnegative")
+
+
+def _singlet_indices(value, path: str, parsed) -> tuple[int, ...]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"'{path}' must be a nonempty list of integers")
+    try:
+        return make_space(parsed["dim"], [_as_int(i, path) for i in value]).singlet_indices
+    except ValueError as exc:
+        raise ConfigError(f"'{path}' invalid: {exc}") from exc
+
+
+def _models(value, path: str, parsed) -> tuple[ModelKind, ...]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"'{path}' must be a nonempty list of model names")
+    try:
+        return tuple(ModelKind.from_name(_as_str(m, path)) for m in value)
+    except ValueError as exc:
+        raise ConfigError(f"'{path}' invalid: {exc}") from exc
+
+
+def _initial_state(value, path: str, parsed) -> InitialStateSpec:
     if isinstance(value, str):
         if value not in PRESET_NAMES:
             raise ConfigError(
                 f"'{path}' preset {value!r} unknown; valid presets: {', '.join(PRESET_NAMES)}"
             )
         return InitialStateSpec(kind="preset", preset=value)
-    mapping = _as_mapping(value, path)
-    _reject_unknown(mapping, ("random", "matrix"), path)
-    if len(mapping) != 1:
+    for key in _as_mapping(value, path):
+        if key not in ("random", "matrix"):
+            raise ConfigError(f"unknown key '{path}.{key}'")
+    if len(value) != 1:
         raise ConfigError(f"'{path}' must hold exactly one of 'random' or 'matrix'")
-    if "random" in mapping:
-        return InitialStateSpec(kind="random", seed=_as_int(mapping["random"], f"{path}.random"))
-    entries = mapping["matrix"]
+    if "random" in value:
+        return InitialStateSpec(kind="random", seed=_as_int(value["random"], f"{path}.random"))
+    dim = parsed["dim"]
+    entries = value["matrix"]
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise ConfigError(
             f"'{path}.matrix' must list {dim * dim} [re, im] pairs (row-major), "
@@ -229,6 +271,32 @@ def _parse_initial_state(value, dim: int) -> InitialStateSpec:
     return InitialStateSpec(kind="matrix", matrix=tuple(pairs))
 
 
+_REQUIRED = object()
+
+# One row per config key: (ScenarioConfig field, key path, check, default or
+# _REQUIRED). parse_config reads the rows in order, so a check may use the
+# fields of earlier rows; emit_config writes them in the same order and
+# leaves out a key whose value is None.
+_KEYS = (
+    ("dim", "space.dim", _AT_LEAST_2, _REQUIRED),
+    ("singlet_indices", "space.singlet_indices", _singlet_indices, _REQUIRED),
+    ("initial_state", "initial_state", _initial_state, _REQUIRED),
+    ("k_s", "k_S", _POSITIVE, _REQUIRED),
+    ("models", "models", _models, _REQUIRED),
+    ("weight_scheme", "weight_scheme", _one_of(WEIGHT_SCHEMES), "corrected"),
+    ("method", "integrator.method", _one_of(METHODS), "rk45-adaptive"),
+    ("rel_tol", "integrator.rel_tol", _POSITIVE, DEFAULT_REL_TOL),
+    ("abs_tol", "integrator.abs_tol", _NONNEGATIVE, DEFAULT_ABS_TOL),
+    ("dt", "integrator.dt", _POSITIVE, None),
+    ("t_end", "time.t_end", _POSITIVE, _REQUIRED),
+    ("n_snapshots", "time.n_snapshots", _AT_LEAST_2, _REQUIRED),
+    ("csv_path", "outputs.csv_path", _as_str, "trajectory.csv"),
+    ("report_path", "outputs.report_path", _as_str, "report.json"),
+)
+_PATHS = {path for _, path, _, _ in _KEYS}
+_SECTIONS = {path.split(".")[0] for path in _PATHS if "." in path}
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and fully validate a YAML configuration document."""
     try:
@@ -236,91 +304,24 @@ def parse_config(text: str) -> ScenarioConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     doc = _as_mapping(doc if doc is not None else {}, "config")
-    _reject_unknown(
-        doc,
-        ("space", "initial_state", "k_S", "models", "weight_scheme", "integrator", "time", "outputs"),
-        "",
-    )
+    for key, value in doc.items():
+        paths = [f"{key}.{sub}" for sub in _as_mapping(value, key)] if key in _SECTIONS else [key]
+        for path in paths:
+            if path not in _PATHS:
+                raise ConfigError(f"unknown key '{path}'")
 
-    space_doc = _as_mapping(_require(doc, "space", ""), "space")
-    _reject_unknown(space_doc, ("dim", "singlet_indices"), "space")
-    dim = _as_int(_require(space_doc, "dim", "space"), "space.dim")
-    raw_indices = _require(space_doc, "singlet_indices", "space")
-    if not isinstance(raw_indices, list) or not raw_indices:
-        raise ConfigError("'space.singlet_indices' must be a nonempty list of integers")
-    indices = tuple(_as_int(i, "space.singlet_indices") for i in raw_indices)
-    try:
-        space = make_space(dim, indices)
-    except ValueError as exc:
-        raise ConfigError(f"'space.singlet_indices' invalid: {exc}") from exc
-
-    initial_state = _parse_initial_state(_require(doc, "initial_state", ""), dim)
-    k_s = _as_float(_require(doc, "k_S", ""), "k_S")
-    if k_s <= 0.0:
-        raise ConfigError(f"'k_S' must be positive, got {k_s}")
-
-    raw_models = _require(doc, "models", "")
-    if not isinstance(raw_models, list) or not raw_models:
-        raise ConfigError("'models' must be a nonempty list of model names")
-    try:
-        models = tuple(ModelKind.from_name(_as_str(m, "models")) for m in raw_models)
-    except ValueError as exc:
-        raise ConfigError(f"'models' invalid: {exc}") from exc
-
-    weight_scheme = doc.get("weight_scheme", "corrected")
-    if weight_scheme not in WEIGHT_SCHEMES:
-        raise ConfigError(
-            f"'weight_scheme' must be one of {', '.join(WEIGHT_SCHEMES)}, got {weight_scheme!r}"
-        )
-
-    integ = _as_mapping(doc.get("integrator", {}), "integrator")
-    _reject_unknown(integ, ("method", "dt", "rel_tol", "abs_tol"), "integrator")
-    method = _as_str(integ.get("method", "rk45-adaptive"), "integrator.method")
-    if method not in METHODS:
-        raise ConfigError(
-            f"'integrator.method' must be one of {', '.join(METHODS)}, got {method!r}"
-        )
-    dt = integ.get("dt")
-    if dt is not None:
-        dt = _as_float(dt, "integrator.dt")
-        if dt <= 0.0:
-            raise ConfigError(f"'integrator.dt' must be positive, got {dt}")
-    rel_tol = _as_float(integ.get("rel_tol", DEFAULT_REL_TOL), "integrator.rel_tol")
-    abs_tol = _as_float(integ.get("abs_tol", DEFAULT_ABS_TOL), "integrator.abs_tol")
-    if rel_tol <= 0.0 or abs_tol < 0.0:
-        raise ConfigError("'integrator' tolerances must be positive (abs_tol may be 0)")
-
-    time_doc = _as_mapping(_require(doc, "time", ""), "time")
-    _reject_unknown(time_doc, ("t_end", "n_snapshots"), "time")
-    t_end = _as_float(_require(time_doc, "t_end", "time"), "time.t_end")
-    if t_end <= 0.0:
-        raise ConfigError(f"'time.t_end' must be positive, got {t_end}")
-    n_snapshots = _as_int(_require(time_doc, "n_snapshots", "time"), "time.n_snapshots")
-    if n_snapshots < 2:
-        raise ConfigError(f"'time.n_snapshots' must be at least 2, got {n_snapshots}")
-
-    outputs = _as_mapping(doc.get("outputs", {}), "outputs")
-    _reject_unknown(outputs, ("csv_path", "report_path"), "outputs")
-    csv_path = _as_str(outputs.get("csv_path", "trajectory.csv"), "outputs.csv_path")
-    report_path = _as_str(outputs.get("report_path", "report.json"), "outputs.report_path")
-
-    config = ScenarioConfig(
-        dim=dim,
-        singlet_indices=space.singlet_indices,
-        initial_state=initial_state,
-        k_s=k_s,
-        models=models,
-        t_end=t_end,
-        n_snapshots=n_snapshots,
-        weight_scheme=weight_scheme,
-        method=method,
-        dt=dt,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        csv_path=csv_path,
-        report_path=report_path,
-    )
-    if initial_state.kind == "matrix":
+    parsed = {}
+    for name, path, check, default in _KEYS:
+        section, _, key = path.rpartition(".")
+        mapping = doc.get(section, {}) if section else doc
+        if key in mapping:
+            parsed[name] = check(mapping[key], path, parsed)
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required key '{path}'")
+        else:
+            parsed[name] = default
+    config = ScenarioConfig(**parsed)
+    if config.initial_state.kind == "matrix":
         _check_explicit_matrix(config)
     return config
 
@@ -330,52 +331,44 @@ def _check_explicit_matrix(config: ScenarioConfig) -> None:
     report = validate(rho)
     if report.verdict != "pass":
         raise ConfigError(f"'initial_state' matrix fails validation: {'; '.join(report.issues)}")
-    if any(m.is_normalized for m in config.models) and abs(rho.trace - 1.0) > 1e-9:
+    if any(m.is_normalized for m in config.models) and abs(rho.trace - 1.0) > TRACE_TOL:
         raise ConfigError(
             f"'initial_state' must have unit trace for normalized models, got {rho.trace:.12g}"
         )
 
 
+def _plain(value):
+    """A field's value as the YAML document holds it."""
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, ModelKind):
+        return value.value
+    if isinstance(value, InitialStateSpec):
+        if value.kind == "preset":
+            return value.preset
+        return {value.kind: _plain(value.seed if value.kind == "random" else value.matrix)}
+    return value
+
+
 def emit_config(config: ScenarioConfig) -> str:
     """Render a config back to YAML; parse_config(emit_config(c)) == c."""
-    state = config.initial_state
-    if state.kind == "preset":
-        state_doc = state.preset
-    elif state.kind == "random":
-        state_doc = {"random": state.seed}
-    else:
-        state_doc = {"matrix": [[re, im] for re, im in state.matrix]}
-    integrator_doc = {
-        "method": config.method,
-        "rel_tol": config.rel_tol,
-        "abs_tol": config.abs_tol,
-    }
-    if config.dt is not None:
-        integrator_doc["dt"] = config.dt
-    doc = {
-        "space": {"dim": config.dim, "singlet_indices": list(config.singlet_indices)},
-        "initial_state": state_doc,
-        "k_S": config.k_s,
-        "models": [m.value for m in config.models],
-        "weight_scheme": config.weight_scheme,
-        "integrator": integrator_doc,
-        "time": {"t_end": config.t_end, "n_snapshots": config.n_snapshots},
-        "outputs": {"csv_path": config.csv_path, "report_path": config.report_path},
-    }
-    return yaml.safe_dump(doc, sort_keys=False)
+    doc = {}
+    for name, path, _, _ in _KEYS:
+        value = getattr(config, name)
+        if value is not None:
+            section, _, key = path.rpartition(".")
+            (doc.setdefault(section, {}) if section else doc)[key] = _plain(value)
+    return yaml.dump(doc, Dumper=_ConfigDumper, sort_keys=False)
 
 
-def realize_initial_state(
-    config: ScenarioConfig, seed_override: int | None = None
-) -> DensityMatrix:
+def realize_initial_state(config: ScenarioConfig) -> DensityMatrix:
     """Materialize the configured initial state as a density matrix."""
     space = config.space
     state = config.initial_state
     if state.kind == "preset":
         return preset_state(space, state.preset)
     if state.kind == "random":
-        seed = seed_override if seed_override is not None else state.seed
-        return random_density_matrix(space, seed)
+        return random_density_matrix(space, state.seed)
     values = np.array([complex(re, im) for re, im in state.matrix])
     return DensityMatrix(space, values.reshape(config.dim, config.dim))
 
@@ -384,21 +377,23 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    dim = traj.states[0].dim
-    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
-    header = ["t", "trace", "p_singlet", "p_triplet"]
-    for i, j in pairs:
-        header += [f"re_{i}_{j}", f"im_{i}_{j}"]
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write equal-length columns under a header, each value with _fmt."""
     lines = [",".join(header)]
-    obs = traj.observables
-    for idx, (t, state) in enumerate(zip(traj.times, traj.states)):
-        row = [_fmt(t), _fmt(obs.trace[idx]), _fmt(obs.p_singlet[idx]), _fmt(obs.p_triplet[idx])]
-        for i, j in pairs:
-            z = state.matrix[i, j]
-            row += [_fmt(z.real), _fmt(z.imag)]
-        lines.append(",".join(row))
+    lines += [",".join(map(_fmt, row)) for row in zip(*(np.asarray(c).tolist() for c in columns))]
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
+
+
+def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
+    obs = traj.observables
+    states = np.array([state.matrix for state in traj.states])
+    header = ["t", "trace", "p_singlet", "p_triplet"]
+    columns = [traj.times, obs.trace, obs.p_singlet, obs.p_triplet]
+    for i, j in zip(*np.triu_indices(states.shape[-1])):  # row-major upper triangle
+        header += [f"re_{i}_{j}", f"im_{i}_{j}"]
+        columns += [states[:, i, j].real, states[:, i, j].imag]
+    _write_csv(path, header, columns)
 
 
 def _model_csv_path(base: str, model: ModelKind) -> str:
@@ -415,14 +410,14 @@ def _say(quiet: bool, *parts) -> None:
         print(*parts)
 
 
-def _integrate_models(config: ScenarioConfig, args, consume) -> int:
+def _integrate_models(config: ScenarioConfig, consume) -> int:
     """Integrate each configured model in turn, handing each trajectory to consume.
 
     consume(model, traj) runs before the next model is integrated. The
     first model that fails is reported on stderr and returns exit code 3;
     otherwise returns 0.
     """
-    rho = realize_initial_state(config, args.seed)
+    rho = realize_initial_state(config)
     params = RateParams(k_s=config.k_s)
     grid = config.grid
     for model in config.models:
@@ -442,11 +437,10 @@ def _integrate_models(config: ScenarioConfig, args, consume) -> int:
 def cmd_run(config: ScenarioConfig, out_dir: Path, args) -> int:
     def write(model: ModelKind, traj: Trajectory) -> None:
         csv_path = out_dir / _model_csv_path(config.csv_path, model)
-        csv_path.parent.mkdir(parents=True, exist_ok=True)
         write_trajectory_csv(csv_path, traj)
         _say(args.quiet, f"wrote {csv_path}")
 
-    code = _integrate_models(config, args, write)
+    code = _integrate_models(config, write)
     if code != 0:
         return code
     _echo_config(config, out_dir)
@@ -454,8 +448,8 @@ def cmd_run(config: ScenarioConfig, out_dir: Path, args) -> int:
 
 
 def cmd_verify(config: ScenarioConfig, out_dir: Path, args) -> int:
-    rho = realize_initial_state(config, args.seed)
-    if abs(rho.trace - 1.0) > 1e-9:
+    rho = realize_initial_state(config)
+    if abs(rho.trace - 1.0) > TRACE_TOL:
         raise ConfigError(
             f"'initial_state' must have unit trace for verification, got {rho.trace:.12g}"
         )
@@ -475,12 +469,11 @@ def cmd_verify(config: ScenarioConfig, out_dir: Path, args) -> int:
     if report.divergence is not None:
         divergence_ref = f"{report_path.stem}_divergence.csv"
         curve = report.divergence
-        lines = ["t,p_singlet_corrected,p_singlet_kominis,delta"]
-        for t, pc, pk, d in zip(
-            curve.times, curve.p_singlet_corrected, curve.p_singlet_kominis, curve.delta
-        ):
-            lines.append(",".join([_fmt(t), _fmt(pc), _fmt(pk), _fmt(d)]))
-        (report_path.parent / divergence_ref).write_text("\n".join(lines) + "\n")
+        _write_csv(
+            report_path.parent / divergence_ref,
+            ["t", "p_singlet_corrected", "p_singlet_kominis", "delta"],
+            [curve.times, curve.p_singlet_corrected, curve.p_singlet_kominis, curve.delta],
+        )
 
     document = {
         "reports": [report.to_dict(divergence_ref)],
@@ -509,18 +502,14 @@ def cmd_compare(config: ScenarioConfig, out_dir: Path, args) -> int:
     def collect(model: ModelKind, traj: Trajectory) -> None:
         columns[model.value] = traj.observables.p_singlet
 
-    code = _integrate_models(config, args, collect)
+    code = _integrate_models(config, collect)
     if code != 0:
         return code
 
     grid = config.grid
     names = list(columns)
     csv_path = out_dir / config.csv_path
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(["t"] + [f"p_singlet_{n}" for n in names])]
-    for idx, t in enumerate(grid):
-        lines.append(",".join([_fmt(t)] + [_fmt(columns[n][idx]) for n in names]))
-    csv_path.write_text("\n".join(lines) + "\n")
+    _write_csv(csv_path, ["t"] + [f"p_singlet_{n}" for n in names], [grid, *columns.values()])
     _echo_config(config, out_dir)
 
     if not args.quiet:
@@ -570,8 +559,11 @@ def main(argv=None) -> int:
         config = parse_config(text)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.seed is not None and config.initial_state.kind != "random":
-            print("note: --seed only affects random initial states", file=sys.stderr)
+        if args.seed is not None:
+            if config.initial_state.kind == "random":
+                config = replace(config, initial_state=replace(config.initial_state, seed=args.seed))
+            else:
+                print("note: --seed only affects random initial states", file=sys.stderr)
         if args.command == "run":
             return cmd_run(config, out_dir, args)
         if args.command == "verify":

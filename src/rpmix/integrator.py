@@ -56,6 +56,7 @@ from .spinspace import (
 METHODS = ("rk4-fixed", "rk45-adaptive")
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_ABS_TOL = 1e-12
+BASE_DT_SCALE = 1e-3  # the default RK4 step is BASE_DT_SCALE / k_S
 MIN_STEP = 1e-12
 
 
@@ -218,7 +219,7 @@ def _prepare(models, rho_init: DensityMatrix, params: RateParams, grid, dt: floa
     ]
     if not all(outcomes):
         if dt is None:
-            dt = 1e-3 / params.k_s if params.k_s > 0 else float(times[-1]) / 1000.0
+            dt = BASE_DT_SCALE / params.k_s if params.k_s > 0 else float(times[-1]) / 1000.0
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
     return times, dt, outcomes
@@ -242,7 +243,7 @@ def integrate(
         Strictly increasing times starting at 0; a snapshot is recorded
         at every grid point. No interpolation happens between points.
     dt : float, optional
-        Substep for "rk4-fixed"; defaults to 1e-3 / k_S.
+        Substep for "rk4-fixed"; defaults to BASE_DT_SCALE / k_S.
 
     Raises
     ------

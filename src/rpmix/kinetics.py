@@ -41,6 +41,7 @@ from .spinspace import TRACE_TOL, DensityMatrix
 
 P_FLOOR = 1e-12
 WEIGHT_FLOOR = 1e-300
+RATE_FORM_TOL = 1e-12  # per unit k_S
 
 
 class AllReacted(Exception):
@@ -83,27 +84,23 @@ class MixtureState:
                 )
 
 
-def mixture_from_initial(
-    rho_init: DensityMatrix,
-    p_floor: float = P_FLOOR,
-    trace_tol: float = TRACE_TOL,
-) -> MixtureState:
+def mixture_from_initial(rho_init: DensityMatrix) -> MixtureState:
     """Freeze the scheme's constants from a normalized initial state.
 
     Computes p_S = Tr(Q_S rho_0), p_T = Tr(Q_T rho_0), and the
     renormalized triplet projection rho_T = Q_T rho_0 Q_T / p_T (absent
-    when p_T <= p_floor). Note the projection destroys singlet-triplet
+    when p_T <= P_FLOOR). Note the projection destroys singlet-triplet
     coherences of rho_0.
     """
     tr = rho_init.trace
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"mixture requires a normalized state, got trace {tr:.12g}")
     space = rho_init.space
     diag = np.diagonal(rho_init.matrix).real
     p_s = float(diag @ space.singlet_diag)
     p_t = float(diag @ space.triplet_diag)
     rho_t = None
-    if p_t > p_floor:
+    if p_t > P_FLOOR:
         rho_t = DensityMatrix(space, space.triplet_mask * rho_init.matrix / p_t)
     return MixtureState(p_s=p_s, p_t=p_t, rho_0=rho_init, rho_t=rho_t)
 
@@ -135,20 +132,18 @@ def kinetic_fractions(t, p_t: float, k_s: float):
     return f_0, f_t
 
 
-def corrected_weights(
-    f_0: float, f_t: float, weight_floor: float = WEIGHT_FLOOR
-) -> tuple[float, float]:
+def corrected_weights(f_0: float, f_t: float) -> tuple[float, float]:
     """Survival-normalized mixture weights w_0 = f_0/(f_0+f_T), w_T = f_T/(f_0+f_T).
 
     Raises
     ------
     AllReacted
-        If f_0 + f_T <= weight_floor (every pair has formed product).
+        If f_0 + f_T <= WEIGHT_FLOOR (every pair has formed product).
     """
     total = f_0 + f_t
-    if total <= weight_floor:
+    if total <= WEIGHT_FLOOR:
         raise AllReacted(
-            f"surviving fraction {total:.3e} at or below floor {weight_floor:.1e}"
+            f"surviving fraction {total:.3e} at or below floor {WEIGHT_FLOOR:.1e}"
         )
     return f_0 / total, f_t / total
 
@@ -196,43 +191,18 @@ def reconstruct(weights: tuple[float, float], mix: MixtureState) -> DensityMatri
     )
 
 
-def decompose(
-    rho_nr: DensityMatrix,
-    weights: tuple[float, float],
-    p_floor: float = P_FLOOR,
-) -> tuple[DensityMatrix, DensityMatrix]:
-    """Invert the mixture: recover (rho_0, rho_T) from rho_nr and the weights.
-
-    rho_T = Q_T rho_nr Q_T / Tr[Q_T rho_nr Q_T] and
-    rho_0 = (rho_nr - w_T rho_T) / w_0. Round-trips with
-    :func:`reconstruct` on mixture-generated states.
-    """
-    w_0, w_t = weights
-    if w_0 <= 0.0:
-        raise ValueError(f"w_0 must be positive to invert the mixture, got {w_0}")
-    space = rho_nr.space
-    projected = space.triplet_mask * rho_nr.matrix
-    tr_t = np.trace(projected).real
-    if tr_t <= p_floor:
-        raise ValueError(f"triplet population {tr_t:.3e} too small to define rho_t")
-    rho_t = DensityMatrix(space, projected / tr_t)
-    rho_0 = DensityMatrix(space, (rho_nr.matrix - w_t * rho_t.matrix) / w_0)
-    return rho_0, rho_t
-
-
 def weight_rate(
     weights: tuple[float, float],
     rho_nr: DensityMatrix,
     mix: MixtureState,
     k_s: float,
-    tol: float = 1e-12,
 ) -> float:
     """dw_0/dt, computed in both algebraic forms and cross-checked.
 
     The kinetic form -k_S w_0 (w_T + p_T w_0) and the trace form
     -k_S w_0 Tr[Q_T rho_nr Q_T] agree exactly when rho_nr is the mixture
-    built from these weights; a disagreement beyond tol * k_S means the
-    caller's rho_nr is not of mixture form and raises
+    built from these weights; a disagreement beyond RATE_FORM_TOL * k_S
+    means the caller's rho_nr is not of mixture form and raises
     :class:`MixtureInconsistent`. The bound scales with k_S because both
     forms do, so the verdict depends only on the dimensionless rate.
     Returns the trace form. dw_T/dt is its negative.
@@ -241,7 +211,7 @@ def weight_rate(
     kinetic_form = -k_s * w_0 * (w_t + mix.p_t * w_0)
     tr_t = float(np.real(np.trace(rho_nr.space.triplet_mask * rho_nr.matrix)))
     trace_form = -k_s * w_0 * tr_t
-    if abs(kinetic_form - trace_form) > tol * k_s:
+    if abs(kinetic_form - trace_form) > RATE_FORM_TOL * k_s:
         raise MixtureInconsistent(
             f"weight-rate forms disagree: kinetic {kinetic_form!r} vs trace {trace_form!r}; "
             "rho_nr is not the mixture built from these weights"

@@ -4,13 +4,13 @@ A radical pair lives in a d-dimensional spin space split into a singlet
 subspace (the reactive channel) and its triplet complement. This module
 builds the split, the associated projectors Q_S and Q_T, and the handful
 of density-matrix primitives everything else is built on: normalization
-rho -> rho / Tr{rho}, singlet/triplet population readout Tr(Q_X rho),
+rho -> rho / Tr{rho}, singlet population readout Tr(Q_S rho),
 validation diagnostics, seeded random states, and the Frobenius metric
 used by all consistency checks.
 
 Projectors are 0/1 diagonal in the chosen basis (the singlet/triplet
-eigenbasis), which keeps the projector algebra Q_S + Q_T = I,
-Q_S Q_T = 0, Q_X^2 = Q_X exact in floating point.
+eigenbasis) and are kept as their diagonals, which keeps the projector
+algebra Q_S + Q_T = I, Q_S Q_T = 0, Q_X^2 = Q_X exact in floating point.
 """
 
 from __future__ import annotations
@@ -71,20 +71,6 @@ class SpinSpace:
         d = 1.0 - self.singlet_diag
         d.setflags(write=False)
         return d
-
-    @cached_property
-    def q_s(self) -> np.ndarray:
-        """Singlet projector Q_S (diagonal 0/1 matrix)."""
-        q = np.diag(self.singlet_diag).astype(complex)
-        q.setflags(write=False)
-        return q
-
-    @cached_property
-    def q_t(self) -> np.ndarray:
-        """Triplet projector Q_T = I - Q_S."""
-        q = np.diag(self.triplet_diag).astype(complex)
-        q.setflags(write=False)
-        return q
 
     @cached_property
     def triplet_mask(self) -> np.ndarray:
@@ -170,7 +156,7 @@ class ValidationReport:
 
     ``verdict`` is "pass", "warn" (Hermiticity drift above tolerance or a
     mildly negative eigenvalue), or "fail" (clearly negative eigenvalue
-    or a trace outside (0, 1 + trace_tol]).
+    or a trace outside (0, 1 + TRACE_TOL]).
     """
 
     hermiticity_error: float
@@ -184,17 +170,12 @@ class ValidationReport:
         return self.verdict != "fail"
 
 
-def validate(
-    rho: DensityMatrix,
-    herm_tol: float = HERM_TOL,
-    psd_tol: float = PSD_WARN_TOL,
-    psd_fail_tol: float = PSD_FAIL_TOL,
-    trace_tol: float = TRACE_TOL,
-) -> ValidationReport:
+def validate(rho: DensityMatrix) -> ValidationReport:
     """Diagnose Hermiticity, positivity, and trace of a density matrix.
 
     Never raises: returns a :class:`ValidationReport` with the measured
-    deviations and a pass/warn/fail verdict. The minimum eigenvalue is
+    deviations and a pass/warn/fail verdict against HERM_TOL,
+    PSD_WARN_TOL, PSD_FAIL_TOL and TRACE_TOL. The minimum eigenvalue is
     that of the Hermitian part, so the report stays meaningful for
     slightly non-Hermitian inputs.
     """
@@ -204,37 +185,37 @@ def validate(
 
     issues = []
     verdict = "pass"
-    if herm_err > herm_tol:
+    if herm_err > HERM_TOL:
         verdict = "warn"
-        issues.append(f"hermiticity deviation {herm_err:.3e} exceeds {herm_tol:.1e}")
-    if min_eig < -psd_tol:
+        issues.append(f"hermiticity deviation {herm_err:.3e} exceeds {HERM_TOL:.1e}")
+    if min_eig < -PSD_WARN_TOL:
         verdict = "warn"
-        issues.append(f"minimum eigenvalue {min_eig:.3e} below -{psd_tol:.1e}")
-    if min_eig < -psd_fail_tol:
+        issues.append(f"minimum eigenvalue {min_eig:.3e} below -{PSD_WARN_TOL:.1e}")
+    if min_eig < -PSD_FAIL_TOL:
         verdict = "fail"
-        issues.append(f"minimum eigenvalue {min_eig:.3e} below -{psd_fail_tol:.1e}")
+        issues.append(f"minimum eigenvalue {min_eig:.3e} below -{PSD_FAIL_TOL:.1e}")
     if trace <= 0.0:
         verdict = "fail"
         issues.append(f"trace {trace:.3e} is not positive")
-    elif trace > 1.0 + trace_tol:
+    elif trace > 1.0 + TRACE_TOL:
         verdict = "fail"
-        issues.append(f"trace {trace:.6g} exceeds 1 + {trace_tol:.1e}")
+        issues.append(f"trace {trace:.6g} exceeds 1 + {TRACE_TOL:.1e}")
     return ValidationReport(herm_err, min_eig, trace, verdict, tuple(issues))
 
 
-def normalize(rho: DensityMatrix, trace_floor: float = TRACE_FLOOR) -> DensityMatrix:
+def normalize(rho: DensityMatrix) -> DensityMatrix:
     """Return rho / Tr{rho}, the state conditioned on not having reacted.
 
     Raises
     ------
     NormalizationSingular
-        If Tr{rho} <= trace_floor: essentially all pairs have reacted and
+        If Tr{rho} <= TRACE_FLOOR: essentially all pairs have reacted and
         the conditional state is undefined.
     """
     tr = rho.trace
-    if tr <= trace_floor:
+    if tr <= TRACE_FLOOR:
         raise NormalizationSingular(
-            f"trace {tr:.3e} at or below floor {trace_floor:.1e}; normalized state undefined"
+            f"trace {tr:.3e} at or below floor {TRACE_FLOOR:.1e}; normalized state undefined"
         )
     return DensityMatrix(rho.space, rho.matrix / tr)
 
@@ -242,11 +223,6 @@ def normalize(rho: DensityMatrix, trace_floor: float = TRACE_FLOOR) -> DensityMa
 def singlet_probability(rho: DensityMatrix) -> float:
     """Tr(Q_S rho): the singlet population (unnormalized if Tr rho != 1)."""
     return float(np.real(np.diagonal(rho.matrix) @ rho.space.singlet_diag))
-
-
-def triplet_probability(rho: DensityMatrix) -> float:
-    """Tr(Q_T rho): the triplet population."""
-    return float(np.real(np.diagonal(rho.matrix) @ rho.space.triplet_diag))
 
 
 def random_density_matrix(space: SpinSpace, seed: int) -> DensityMatrix:

@@ -35,11 +35,12 @@ and a failure of the kominis route under the discrepancy check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .integrator import (
+    BASE_DT_SCALE,
     IntegrationError,
     Trajectory,
     analytic_jones_hore,
@@ -70,7 +71,6 @@ from .spinspace import (
 )
 
 BASE_TOL = 1e-8
-BASE_DT_SCALE = 1e-3  # reference step is 1e-3 / k_S
 DISCREPANCY_MARGIN = 10.0  # "significantly nonzero" = margin x tolerance
 FD_STEP_SCALE = 1e-5
 FD_TOL = 1e-6  # per unit k_S
@@ -129,15 +129,7 @@ class CheckRecord:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "max_deviation": self.max_deviation,
-            "t_at_max": self.t_at_max,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "details": self.details,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -320,25 +312,21 @@ def check_kominis_discrepancy(
     return record, curve
 
 
-def check_weight_derivative(
-    rho_init: DensityMatrix,
-    k_s: float,
-    t_samples=None,
-    fd_step: float | None = None,
-) -> CheckRecord:
+def check_weight_derivative(rho_init: DensityMatrix, k_s: float, t_samples=None) -> CheckRecord:
     """Central finite difference of the corrected weights vs the weight rate.
 
-    The deviation is judged against FD_TOL * k_S. Also records the
-    largest disagreement between the two algebraic forms of the weight
-    derivative along the samples, judged against FORM_TOL * k_S. The
-    rate, and with it both errors, scales with k_S.
+    The step is FD_STEP_SCALE / k_S and the deviation is judged against
+    FD_TOL * k_S. Also records the largest disagreement between the two
+    algebraic forms of the weight derivative along the samples, judged
+    against FORM_TOL * k_S. The rate, and with it both errors, scales
+    with k_S.
     """
     mix = mixture_from_initial(rho_init)
     if not mix.p_t > 0.0:
         raise ValueError(f"weight-derivative check requires p_T > 0, got {mix.p_t:.6g}")
     if t_samples is None:
         t_samples = np.array([0.1, 0.5, 1.0, 2.0, 5.0]) / k_s
-    h = fd_step if fd_step is not None else FD_STEP_SCALE / k_s
+    h = FD_STEP_SCALE / k_s
 
     devs = []
     form_gap = 0.0

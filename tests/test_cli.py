@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,17 +8,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 import rpmix
 from rpmix.cli import (
+    _KEYS,
     ConfigError,
     InitialStateSpec,
+    ScenarioConfig,
     emit_config,
     main,
     parse_config,
     realize_initial_state,
 )
 from rpmix.models import ModelKind
+from rpmix.spinspace import PRESET_NAMES
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 MINIMAL = """\
 space:
@@ -185,6 +193,167 @@ class TestParseConfig:
         assert rho.matrix[0, 1] == 0.1j
 
 
+FULL_DOC = yaml.safe_load(FULL)
+
+# one invalid value per key path of _KEYS
+BAD_VALUES = {
+    "space.dim": 1,
+    "space.singlet_indices": [0, 5],
+    "initial_state": "thermal",
+    "k_S": 0.0,
+    "models": ["lindblad"],
+    "weight_scheme": "exponential",
+    "integrator.method": "euler",
+    "integrator.rel_tol": 0.0,
+    "integrator.abs_tol": -1e-12,
+    "integrator.dt": float("nan"),
+    "time.t_end": -1.0,
+    "time.n_snapshots": 1,
+    "outputs.csv_path": 5,
+    "outputs.report_path": ["report.json"],
+}
+
+
+class TestKeyTable:
+    def test_one_row_per_field(self):
+        assert [row[0] for row in _KEYS] == [f.name for f in dataclasses.fields(ScenarioConfig)]
+
+    @pytest.mark.parametrize("path", [row[1] for row in _KEYS])
+    def test_bad_value_exits_2_naming_key_path(self, tmp_path, capsys, path):
+        doc = json.loads(json.dumps(FULL_DOC))
+        section, _, key = path.rpartition(".")
+        (doc[section] if section else doc)[key] = BAD_VALUES[path]
+        config = write_config(tmp_path, yaml.safe_dump(doc, sort_keys=False))
+        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"'{path}'" in err, err
+        assert "Traceback" not in err
+
+    def test_tolerance_errors_name_their_key(self):
+        text = FULL.replace("rel_tol: 1.0e-10", "rel_tol: -1.0e-10")
+        with pytest.raises(ConfigError, match=r"'integrator.rel_tol' must be positive, got -1e-10"):
+            parse_config(text)
+        text = FULL.replace("abs_tol: 1.0e-13", "abs_tol: -1.0e-13")
+        with pytest.raises(ConfigError, match=r"'integrator.abs_tol' must be nonnegative, got -1e-13"):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "old, new, path",
+        [
+            ("k_S: 2.0", "k_S: .inf", "k_S"),
+            ("t_end: 5.0", "t_end: .inf", "time.t_end"),
+            ("random: 11", "matrix: [[.nan, 0], [0, 0], [0, 0], [0.5, 0]]", "initial_state.matrix[0][0]"),
+        ],
+    )
+    def test_non_finite_number_exits_2_naming_key_path(self, tmp_path, capsys, old, new, path):
+        text = FULL.replace(old, new).replace("dim: 4", "dim: 2")
+        config = write_config(tmp_path, text)
+        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out"), "--quiet"]) == 2
+        assert f"'{path}' must be finite" in capsys.readouterr().err
+
+    def test_weight_scheme_must_be_a_string(self):
+        with pytest.raises(ConfigError, match="'weight_scheme' must be a string"):
+            parse_config(MINIMAL + "weight_scheme: 3\n")
+
+
+def _number_forms(x: float) -> list[str]:
+    """Spellings of x that all read back as x: plain, exponent with and
+    without a dot or a sign on the exponent, either case of e."""
+    sci = f"{x:.17e}"
+    mantissa, exponent = sci.split("e")
+    no_dot = f"{mantissa.replace('.', '')}e{int(exponent) - 17}"
+    return [repr(x), sci, sci.upper(), sci.replace("e+", "e"), no_dot]
+
+
+@st.composite
+def config_texts(draw):
+    """A valid config with each optional key omitted or present, and the
+    fields parse_config should give for it."""
+
+    def number(x):
+        return draw(st.sampled_from(_number_forms(x)))
+
+    def positive():
+        return draw(st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False))
+
+    def text():
+        # paths spelled like numbers must come back as strings too
+        number_like = st.sampled_from(["{}", "{}e5", "{}E-3", "{}.e1"]).map(lambda f: f.format(number(positive())))
+        return draw(st.one_of(st.text(alphabet="abe019.+-_/", min_size=1, max_size=8), number_like))
+
+    dim = draw(st.integers(min_value=2, max_value=4))
+    singlets = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim - 1, unique=True))
+    models = draw(st.lists(st.sampled_from([m.value for m in ModelKind]), min_size=1, max_size=4))
+    kind = draw(st.sampled_from(["preset", "random", "matrix"]))
+    k_s, t_end = positive(), positive()
+    n_snapshots = draw(st.integers(min_value=2, max_value=1000))
+    lines = ["space:", f"  dim: {dim}", f"  singlet_indices: {singlets}"]
+    if kind == "preset":
+        preset = draw(st.sampled_from(PRESET_NAMES))
+        state = InitialStateSpec(kind="preset", preset=preset)
+        lines.append(f"initial_state: {preset}")
+    elif kind == "random":
+        seed = draw(st.integers(min_value=0, max_value=2**32))
+        state = InitialStateSpec(kind="random", seed=seed)
+        lines += ["initial_state:", f"  random: {seed}"]
+    else:
+        weights = draw(st.lists(st.integers(0, 5), min_size=dim, max_size=dim).filter(any))
+        diag = [w / sum(weights) for w in weights]
+        pairs = tuple((diag[i] if i == j else 0.0, 0.0) for i in range(dim) for j in range(dim))
+        state = InitialStateSpec(kind="matrix", matrix=pairs)
+        entries = ", ".join(f"[{number(re)}, {number(im)}]" for re, im in pairs)
+        lines += ["initial_state:", f"  matrix: [{entries}]"]
+    lines += [f"k_S: {number(k_s)}", "models: [" + ", ".join(models) + "]"]
+    expected = dict(
+        dim=dim, singlet_indices=tuple(sorted(singlets)), initial_state=state, k_s=k_s,
+        models=tuple(ModelKind.from_name(m) for m in models), weight_scheme="corrected",
+        method="rk45-adaptive", rel_tol=1e-9, abs_tol=1e-12, dt=None, t_end=t_end,
+        n_snapshots=n_snapshots, csv_path="trajectory.csv", report_path="report.json",
+    )
+    if draw(st.booleans()):
+        expected["weight_scheme"] = draw(st.sampled_from(["corrected", "kominis"]))
+        lines.append(f"weight_scheme: {expected['weight_scheme']}")
+    integrator = []
+    if draw(st.booleans()):
+        expected["method"] = draw(st.sampled_from(["rk4-fixed", "rk45-adaptive"]))
+        integrator.append(f"  method: {expected['method']}")
+    for name in ("rel_tol", "dt"):
+        if draw(st.booleans()):
+            expected[name] = positive()
+            integrator.append(f"  {name}: {number(expected[name])}")
+    if draw(st.booleans()):
+        expected["abs_tol"] = draw(st.sampled_from([0.0, positive()]))
+        integrator.append(f"  abs_tol: {number(expected['abs_tol'])}")
+    if integrator or draw(st.booleans()):
+        lines += ["integrator:" + ("" if integrator else " {}")] + draw(st.permutations(integrator))
+    lines += ["time:", f"  t_end: {number(t_end)}", f"  n_snapshots: {n_snapshots}"]
+    outputs = []
+    for name in ("csv_path", "report_path"):
+        if draw(st.booleans()):
+            expected[name] = text()
+            outputs.append(f"  {name}: {json.dumps(expected[name])}")
+    if outputs or draw(st.booleans()):
+        lines += ["outputs:" + ("" if outputs else " {}")] + outputs
+    return "\n".join(lines) + "\n", ScenarioConfig(**expected)
+
+
+class TestEmitProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(config_texts())
+    def test_parse_emit_round_trip(self, drawn):
+        text, expected = drawn
+        config = parse_config(text)
+        assert config == expected
+        emitted = emit_config(config)
+        assert parse_config(emitted) == config
+        assert emit_config(parse_config(emitted)) == emitted
+
+    def test_strings_that_read_as_numbers_are_quoted(self):
+        config = parse_config(MINIMAL + "outputs:\n  csv_path: '1e5'\n")
+        assert config.csv_path == "1e5"
+        assert parse_config(emit_config(config)) == config
+
+
 class TestRunCommand:
     def test_writes_csv_per_model(self, tmp_path):
         config = write_config(tmp_path, MINIMAL.replace("[jones-hore]", "[jones-hore, haberkorn]"))
@@ -239,6 +408,22 @@ class TestRunCommand:
         a = (out_a / "traj_jones-hore.csv").read_text()
         b = (out_b / "traj_jones-hore.csv").read_text()
         assert a != b
+
+    def test_seed_override_is_echoed(self, tmp_path):
+        # rerunning from the echo of a --seed run reproduces every artifact
+        for command in ("run", "verify"):
+            first, second = tmp_path / command / "first", tmp_path / command / "second"
+            argv = [command, "--config", str(CONFIGS / "random_four_level.yaml"), "--out-dir", str(first)]
+            assert main(argv + ["--quiet", "--seed", "99"]) == 0
+            argv = [command, "--config", str(first / "config_echo.yaml"), "--out-dir", str(second)]
+            assert main(argv + ["--quiet"]) == 0
+            names = sorted(path.name for path in first.iterdir())
+            assert names == sorted(path.name for path in second.iterdir())
+            for name in names:
+                assert (first / name).read_bytes() == (second / name).read_bytes(), name
+            assert "random: 99" in (first / "config_echo.yaml").read_text()
+        document = json.loads((tmp_path / "verify" / "first" / "four_level_report.json").read_text())
+        assert document["reports"][0]["scenario"]["label"] == "config-random-seed-99"
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.yaml")])

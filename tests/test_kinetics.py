@@ -8,7 +8,6 @@ from rpmix.kinetics import (
     AllReacted,
     MixtureInconsistent,
     corrected_weights,
-    decompose,
     fraction_rates,
     kinetic_fractions,
     kominis_weights,
@@ -239,47 +238,6 @@ class TestReconstruct:
             for t in (0.0, 0.3, 1.0, 5.0):
                 w = weights_at(t, mix, 1.0, "corrected")
                 assert reconstruct(w, mix).trace == pytest.approx(1.0, abs=1e-13)
-
-
-class TestDecompose:
-    def test_time_zero(self):
-        rho_nr = dm(SP2, np.diag([0.5, 0.5]))
-        rho_0, rho_t = decompose(rho_nr, (1.0, 0.0))
-        assert np.allclose(rho_0.matrix, rho_nr.matrix, atol=1e-15)
-        assert np.allclose(rho_t.matrix, np.diag([0.0, 1.0]), atol=1e-15)
-
-    def test_inverse_of_reconstruct_example(self):
-        rho_nr = dm(SP2, np.diag([1.0 / 3.0, 2.0 / 3.0]))
-        rho_0, rho_t = decompose(rho_nr, (2.0 / 3.0, 1.0 / 3.0))
-        assert np.allclose(rho_0.matrix, np.diag([0.5, 0.5]), atol=1e-15)
-        assert np.allclose(rho_t.matrix, np.diag([0.0, 1.0]), atol=1e-15)
-
-    def test_pure_triplet_substitution(self):
-        rho_nr = dm(SP2, np.diag([0.0, 1.0]))
-        rho_0, rho_t = decompose(rho_nr, (0.5, 0.5))
-        assert np.allclose(rho_0.matrix, rho_nr.matrix, atol=1e-15)
-        assert np.allclose(rho_t.matrix, rho_nr.matrix, atol=1e-15)
-
-    def test_zero_weight_rejected(self):
-        with pytest.raises(ValueError, match="w_0"):
-            decompose(dm(SP2, np.diag([0.5, 0.5])), (0.0, 1.0))
-
-    def test_zero_triplet_trace_rejected(self):
-        with pytest.raises(ValueError, match="triplet population"):
-            decompose(dm(SP2, np.diag([1.0, 0.0])), (1.0, 0.0))
-
-    def test_roundtrip_on_random_mixtures(self):
-        for space in (SP2, SP4):
-            for seed in range(10):
-                mix = mixture_from_initial(random_density_matrix(space, seed))
-                for t in (0.1, 1.0, 3.0):
-                    w = weights_at(t, mix, 1.0, "corrected")
-                    rho_nr = reconstruct(w, mix)
-                    rho_0, rho_t = decompose(rho_nr, w)
-                    assert frobenius_distance(rho_0, mix.rho_0) < 1e-13
-                    assert frobenius_distance(rho_t, mix.rho_t) < 1e-13
-                    again = reconstruct(w, mixture_from_initial(rho_0))
-                    assert frobenius_distance(again, rho_nr) < 1e-13
 
 
 class TestWeightRate:

@@ -14,7 +14,6 @@ from rpmix.spinspace import (
     preset_state,
     random_density_matrix,
     singlet_probability,
-    triplet_probability,
     two_level_space,
     validate,
 )
@@ -22,6 +21,11 @@ from rpmix.spinspace import (
 
 def dm(space, entries):
     return DensityMatrix(space, np.array(entries, dtype=complex))
+
+
+def triplet_population(rho):
+    """Tr(Q_T rho) as the diagonal dotted with the triplet diagonal."""
+    return float(np.real(np.diagonal(rho.matrix) @ rho.space.triplet_diag))
 
 
 @st.composite
@@ -37,12 +41,13 @@ def spaces(draw):
 class TestMakeSpace:
     def test_two_level_projectors(self):
         sp = make_space(2, {0})
-        assert np.array_equal(sp.q_s, np.diag([1.0, 0.0]))
-        assert np.array_equal(sp.q_t, np.diag([0.0, 1.0]))
+        assert np.array_equal(sp.singlet_diag, [1.0, 0.0])
+        assert np.array_equal(sp.triplet_diag, [0.0, 1.0])
+        assert np.array_equal(sp.triplet_mask, [[0.0, 0.0], [0.0, 1.0]])
 
     def test_four_level_triplet_complement(self):
         sp = make_space(4, {0})
-        assert np.array_equal(sp.q_t, np.diag([0.0, 1.0, 1.0, 1.0]))
+        assert np.array_equal(sp.triplet_diag, [0.0, 1.0, 1.0, 1.0])
 
     def test_full_singlet_set_rejected(self):
         with pytest.raises(ValueError):
@@ -62,11 +67,17 @@ class TestMakeSpace:
 
     @given(spaces())
     def test_projector_algebra_exact(self, sp):
-        eye = np.eye(sp.dim, dtype=complex)
-        assert np.array_equal(sp.q_s + sp.q_t, eye)
-        assert np.array_equal(sp.q_s @ sp.q_t, np.zeros_like(eye))
-        assert np.array_equal(sp.q_s @ sp.q_s, sp.q_s)
-        assert np.array_equal(sp.q_t @ sp.q_t, sp.q_t)
+        # Q_S and Q_T are the diagonal 0/1 matrices of singlet_diag and triplet_diag
+        s, t = sp.singlet_diag, sp.triplet_diag
+        assert np.array_equal(s + t, np.ones(sp.dim))
+        assert np.array_equal(s * t, np.zeros(sp.dim))
+        assert np.array_equal(s * s, s)
+        assert np.array_equal(t * t, t)
+        # triplet_mask * rho is Q_T rho Q_T
+        q_t = np.diag(t)
+        rho = np.arange(sp.dim * sp.dim, dtype=float).reshape(sp.dim, sp.dim) + 1.0
+        assert np.array_equal(sp.triplet_mask * rho, q_t @ rho @ q_t)
+        assert np.array_equal(sp.triplet_mask, np.outer(t, t))
 
 
 class TestDensityMatrix:
@@ -116,7 +127,7 @@ class TestProbabilities:
     def test_pure_triplet_orthogonal(self):
         rho = dm(two_level_space(), np.diag([0.0, 1.0]))
         assert singlet_probability(rho) == 0.0
-        assert triplet_probability(rho) == 1.0
+        assert triplet_population(rho) == 1.0
 
     def test_random_state_matches_diagonal_sum(self):
         # independent oracle: explicit summation over singlet diagonal entries
@@ -129,7 +140,7 @@ class TestProbabilities:
         for seed in range(25):
             for sp in (two_level_space(), electron_pair_space()):
                 rho = random_density_matrix(sp, seed)
-                total = singlet_probability(rho) + triplet_probability(rho)
+                total = singlet_probability(rho) + triplet_population(rho)
                 assert abs(total - rho.trace) < 1e-14
 
 
@@ -148,7 +159,7 @@ class TestValidate:
     def test_small_nonhermitian_perturbation_warns(self):
         m = np.diag([0.5, 0.5]).astype(complex)
         m[0, 1] += 1e-6
-        report = validate(dm(two_level_space(), m), herm_tol=1e-9)
+        report = validate(dm(two_level_space(), m))
         assert report.verdict == "warn"
         assert report.hermiticity_error == pytest.approx(1e-6, rel=1e-6)
 
@@ -165,8 +176,10 @@ class TestRandomDensityMatrix:
     def test_always_valid(self):
         for seed in range(50):
             rho = random_density_matrix(electron_pair_space(), seed)
-            report = validate(rho, herm_tol=1e-12, psd_tol=1e-12)
+            report = validate(rho)
             assert report.verdict == "pass", report
+            assert report.hermiticity_error <= 1e-12, report
+            assert report.min_eigenvalue >= -1e-12, report
 
     def test_deterministic(self):
         a = random_density_matrix(two_level_space(), seed=3)
@@ -220,7 +233,7 @@ class TestPresets:
     def test_equal_mixture_balances_subspaces(self):
         rho = preset_state(electron_pair_space(), "equal-mixture")
         assert singlet_probability(rho) == pytest.approx(0.5, abs=1e-15)
-        assert triplet_probability(rho) == pytest.approx(0.5, abs=1e-15)
+        assert triplet_population(rho) == pytest.approx(0.5, abs=1e-15)
 
     def test_superposition_two_level(self):
         rho = preset_state(two_level_space(), "st-superposition")
