@@ -1,41 +1,42 @@
 """Time evolution of the master-equation variants.
 
-Two steppers act on the raw density matrix:
+Two steppers; the first snapshot of either is the initial state itself.
 
 - "rk4-fixed": classic fourth-order Runge-Kutta with a uniform substep,
-  the workhorse for convergence-order and consistency tests. It always
-  runs on a (B, d, d) stack of one initial state evolved under B models
-  (:func:`integrate_stack`); a single-state :func:`integrate` call is a
-  one-member stack. Every member rounds exactly as it would alone, and a
-  member that fails leaves the stack while the others go on. One probing
-  substep is taken before the run: if it finds every stage exactly zero
-  and returns the stack bit for bit, the stack is a fixed point for any
-  step size, no step is taken and the state is repeated at every later
-  snapshot, each still built, validated and gated.
+  the workhorse for convergence-order and consistency tests. Every flow
+  scales each entry of the singlet-singlet, singlet-triplet and
+  triplet-triplet blocks by one real rate (:func:`~rpmix.models.block_rates`),
+  so the RK4 iterates are exactly rho_0 scaled blockwise by three real
+  factors. The stepper runs RK4 on those three scalars in Python floats
+  and scales the re-symmetrized initial state by them once per run. The
+  triplet-triplet factor is carried as the triplet population tau
+  itself, which stays at most 1, times Q_T rho_0 Q_T / tau_0. At an
+  exact fixed point every rate that acts on a nonzero block is exactly
+  zero, so the state comes back bit for bit at every snapshot.
 - "rk45-adaptive": Fehlberg embedded 4(5) pair with standard
   error-controlled step adjustment (safety factor 0.9, step clamped to
   [1e-12, t_end]); the fifth-order solution is propagated. A trial step
   keeps its six stages in one (6, d, d) array and forms every stage
   input, and both embedded solutions, as weighted reductions over it.
 
-Every accepted step is followed by re-symmetrization
-rho <- (rho + rho^dagger)/2, which keeps snapshots exactly Hermitian.
-The snapshots are stacked into one (B, T, d, d) array once the run ends;
-the observables and the positivity and trace gate each take one pass
-over that stack, and all of them round exactly as a per-snapshot loop
-would. Positivity is monitored at each snapshot but never projected: a
-violation beyond the fail tolerance aborts the run, naming the first
-offending snapshot, because hiding it would mask exactly the model
-pathologies this package exists to expose.
+Every accepted adaptive step is followed by re-symmetrization
+rho <- (rho + rho^dagger)/2, which keeps snapshots exactly Hermitian; the
+fixed-step snapshots are real multiples of the re-symmetrized initial
+state and Hermitian too. The snapshots are stacked into one (T, d, d)
+array once the run ends; the observables and the positivity and trace
+gate each take one pass over that stack, and all of them round exactly
+as a per-snapshot loop would. Positivity is monitored at each snapshot
+but never projected: a violation beyond the fail tolerance aborts the
+run, naming the first offending snapshot, because hiding it would mask
+exactly the model pathologies this package exists to expose.
 
-The right-hand sides come from :mod:`rpmix.models`: the adaptive stepper
-runs the one-matrix closure of :func:`~rpmix.models.rhs_function`, the
-fixed-step stepper the stacked closure of
-:func:`~rpmix.models.stacked_rhs_function`. None of the flows has a Hamiltonian, so the two linear ones have
-exact propagators, kept as oracles: the projection-replacement equation
-damps every matrix block except the triplet-triplet one at rate k_S,
-while the anticommutator equation damps the singlet-singlet block at k_S
-and the singlet-triplet coherences at k_S/2.
+The adaptive stepper runs the one-matrix closure of
+:func:`~rpmix.models.rhs_function` on the raw density matrix. The two
+linear flows have exact propagators, kept as oracles: the
+projection-replacement equation damps every matrix block except the
+triplet-triplet one at rate k_S, while the anticommutator equation
+damps the singlet-singlet block at k_S and the singlet-triplet
+coherences at k_S/2.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelKind, ModelSingular, RateParams, rhs_function, stacked_rhs_function
+from .models import ModelKind, ModelSingular, RateParams, block_rates, rhs_function
 from .spinspace import (
     PSD_FAIL_TOL,
     TRACE_TOL,
@@ -85,24 +86,6 @@ class Trajectory:
 
 def _resymmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
-
-
-def _rk4_step(f, m: np.ndarray, h: float):
-    """One classic RK4 step, re-symmetrized; returns (new state, the four stages)."""
-    k1 = f(m)
-    k2 = f(m + (0.5 * h) * k1)
-    k3 = f(m + (0.5 * h) * k2)
-    k4 = f(m + h * k3)
-    return _resymmetrize(m + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)), (k1, k2, k3, k4)
-
-
-def _is_fixed_point(m: np.ndarray, new: np.ndarray, stages) -> bool:
-    """Whether a step returned m bit for bit (sign bits included) from four exactly zero stages.
-
-    Every stage and update then multiplies only exact zeros by a positive
-    step size, so a step of any size returns m bit for bit as well.
-    """
-    return not any(k.any() for k in stages) and new.tobytes() == m.tobytes()
 
 
 # Fehlberg 4(5) tableau. _FEHLBERG_A[i] holds the coefficients of stages
@@ -148,10 +131,29 @@ def _substeps(t0: float, t1: float, dt: float) -> tuple[int, float]:
     return n_sub, (t1 - t0) / n_sub
 
 
-def _advance_fixed(f, m: np.ndarray, n_sub: int, h: float) -> np.ndarray:
+def _advance_blocks(rates, x: tuple[float, float, float], n_sub: int, h: float):
+    """n_sub classic RK4 steps of the block factors x = (a_SS, a_ST, tau).
+
+    Block X scales as da_X/dt = c_X(tau) a_X, with tau = Tr{Q_T rho Q_T}
+    standing in for the triplet-triplet factor times tau_0.
+    """
+    s, c, tau = x
+    half, sixth = 0.5 * h, h / 6.0
     for _ in range(n_sub):
-        m, _ = _rk4_step(f, m, h)
-    return m
+        r_s, r_c, r_t = rates(tau)
+        k1s, k1c, k1t = r_s * s, r_c * c, r_t * tau
+        y_s, y_c, y_t = s + half * k1s, c + half * k1c, tau + half * k1t
+        r_s, r_c, r_t = rates(y_t)
+        k2s, k2c, k2t = r_s * y_s, r_c * y_c, r_t * y_t
+        y_s, y_c, y_t = s + half * k2s, c + half * k2c, tau + half * k2t
+        r_s, r_c, r_t = rates(y_t)
+        k3s, k3c, k3t = r_s * y_s, r_c * y_c, r_t * y_t
+        y_s, y_c, y_t = s + h * k3s, c + h * k3c, tau + h * k3t
+        r_s, r_c, r_t = rates(y_t)
+        s += sixth * (k1s + 2.0 * (k2s + k3s) + r_s * y_s)
+        c += sixth * (k1c + 2.0 * (k2c + k3c) + r_c * y_c)
+        tau += sixth * (k1t + 2.0 * (k2t + k3t) + r_t * y_t)
+    return s, c, tau
 
 
 def _advance_adaptive(
@@ -187,18 +189,8 @@ def _advance_adaptive(
     return m, h
 
 
-def _caused(error: Exception, cause: Exception) -> Exception:
-    error.__cause__ = cause
-    return error
-
-
-def _prepare(models, rho_init: DensityMatrix, params: RateParams, grid, dt: float | None):
-    """The checks made before any step; returns (times, dt, outcomes).
-
-    ``outcomes`` holds, per model, the error for an initial state without
-    the unit trace a normalized model needs, or None. dt is resolved and
-    checked only when some model is left to run.
-    """
+def _prepare(model, rho_init: DensityMatrix, params: RateParams, grid, dt: float | None):
+    """The checks made before any step; returns (times, dt) with dt resolved."""
     times = np.asarray(grid, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("grid must be a one-dimensional sequence of times")
@@ -209,20 +201,15 @@ def _prepare(models, rho_init: DensityMatrix, params: RateParams, grid, dt: floa
     report = validate(rho_init)
     if not report.ok:
         raise IntegrationError(f"initial state fails validation: {'; '.join(report.issues)}")
-    outcomes = [
-        IntegrationError(
+    if model.is_normalized and abs(rho_init.trace - 1.0) > TRACE_TOL:
+        raise IntegrationError(
             f"{model.value} requires a unit-trace initial state, got trace {rho_init.trace:.12g}"
         )
-        if model.is_normalized and abs(rho_init.trace - 1.0) > TRACE_TOL
-        else None
-        for model in models
-    ]
-    if not all(outcomes):
-        if dt is None:
-            dt = BASE_DT_SCALE / params.k_s if params.k_s > 0 else float(times[-1]) / 1000.0
-        if dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
-    return times, dt, outcomes
+    if dt is None:
+        dt = BASE_DT_SCALE / params.k_s if params.k_s > 0 else float(times[-1]) / 1000.0
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    return times, dt
 
 
 def integrate(
@@ -256,85 +243,48 @@ def integrate(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; valid methods: {', '.join(METHODS)}")
+    times, dt = _prepare(model, rho_init, params, grid, dt)
     if method == "rk4-fixed":
-        (outcome,) = integrate_stack((model,), rho_init, params, grid, dt)
-    else:
-        outcome = _integrate_adaptive(model, rho_init, params, grid, dt, rel_tol, abs_tol)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+        return _integrate_fixed(model, rho_init, params, times, dt)
+    return _integrate_adaptive(model, rho_init, params, times, rel_tol, abs_tol)
 
 
-def integrate_stack(
-    models, rho_init: DensityMatrix, params: RateParams, grid, dt: float | None = None
-) -> tuple[Trajectory | Exception, ...]:
-    """Integrate one initial state under several models as one fixed-step RK4 stack.
-
-    Member b of the (B, d, d) stack evolves under ``models[b]``. Its
-    outcome is, bit for bit, the Trajectory that ``integrate(models[b],
-    rho_init, params, grid, method="rk4-fixed", dt=dt)`` returns, or the
-    exception with the message that call raises; a failing member leaves
-    the stack and the others go on. Errors shared by every member (the
-    grid, dt, an invalid initial state) are raised.
-
-    One probing substep, the first interval's, is taken before the run.
-    If it finds the stack at a fixed point, no step is taken and the
-    state is repeated at every later snapshot; each snapshot is still
-    built, validated and gated. Otherwise the probe is discarded.
-    """
-    times, dt, outcomes = _prepare(models, rho_init, params, grid, dt)
+def _integrate_fixed(model, rho_init, params, times, dt) -> Trajectory:
     space = rho_init.space
-    live = [b for b, outcome in enumerate(outcomes) if outcome is None]
-    states = [[rho_init] for _ in models]
-    stack = np.empty((len(models), times.size) + rho_init.matrix.shape, dtype=complex)
-    stack[:, 0] = rho_init.matrix
-    x = np.array([rho_init.matrix] * len(live))
-    f = stacked_rhs_function([models[b] for b in live], space, params) if live else None
-
-    def drop(j, error):
-        nonlocal x, f
-        outcomes[live.pop(j)] = error
-        x = np.delete(x, j, axis=0)
-        if live:
-            f = stacked_rhs_function([models[b] for b in live], space, params)
-
-    frozen = False
-    if live and times.size > 1:
-        h = _substeps(float(times[0]), float(times[1]), dt)[1]
-        try:
-            frozen = _is_fixed_point(x, *_rk4_step(f, x, h))
-        except ModelSingular:
-            pass  # the first interval below meets it again and drops the member
+    rates = block_rates(model, params.k_s)
+    rho = _resymmetrize(rho_init.matrix)
+    ss_part = np.outer(space.singlet_diag, space.singlet_diag) * rho
+    tt_part = space.triplet_mask * rho
+    tau0 = float(tt_part.trace().real)
+    # the blocks as real (d, 2d) views, so that each part is scaled and
+    # divided in real arithmetic: complex division by a subnormal tau0
+    # overflows
+    blocks = [part.view(float) for part in (ss_part, rho - ss_part - tt_part, tt_part)]
+    blocks[2] = blocks[2] / tau0 if tau0 != 0.0 else np.zeros_like(blocks[2])
+    x = (1.0, 1.0, tau0)
+    factors = [x]
     for i in range(1, times.size):
-        if not live:
-            break
         t0, t1 = float(times[i - 1]), float(times[i])
-        n_sub, h = _substeps(t0, t1, dt)
-        while live and not frozen:
-            try:
-                x_next = _advance_fixed(f, x, n_sub, h)
-            except ModelSingular as exc:
-                # the other members restart the interval from the same state
-                drop(exc.member, _caused(ModelSingular(f"at t in ({t0:.6g}, {t1:.6g}]: {exc}"), exc))
-            else:
-                x = x_next
-                break
-        for j in reversed(range(len(live))):
-            try:
-                states[live[j]].append(DensityMatrix(space, x[j]))
-            except ValueError as exc:
-                drop(j, _caused(IntegrationError(f"invalid state at t = {t1:.6g}: {exc}"), exc))
-        stack[live, i] = x
-    if live:
-        for b, outcome in zip(live, _gate(times, [states[b] for b in live], stack[live])):
-            outcomes[b] = outcome
-    return tuple(outcomes)
+        try:
+            x = _advance_blocks(rates, x, *_substeps(t0, t1, dt))
+        except ModelSingular as exc:
+            raise ModelSingular(f"at t in ({t0:.6g}, {t1:.6g}]: {exc}") from exc
+        factors.append(x)
+        if not all(map(math.isfinite, x)):
+            break  # this snapshot fails validation below
+    a_ss, a_st, tau = np.array(factors).T[:, :, None, None]
+    stack = (a_ss * blocks[0] + a_st * blocks[1] + tau * blocks[2]).view(complex)
+    stack[0] = rho_init.matrix
+    states = [rho_init]
+    for i in range(1, len(factors)):
+        try:
+            states.append(DensityMatrix(space, stack[i]))
+        except ValueError as exc:
+            raise IntegrationError(f"invalid state at t = {times[i]:.6g}: {exc}") from exc
+    return _gate(times, states, stack)
 
 
-def _integrate_adaptive(model, rho_init, params, grid, dt, rel_tol, abs_tol) -> Trajectory | Exception:
-    times, _, (error,) = _prepare((model,), rho_init, params, grid, dt)
-    if error is not None:
-        return error
+def _integrate_adaptive(model, rho_init, params, times, rel_tol, abs_tol) -> Trajectory:
     space = rho_init.space
     f = rhs_function(model, space, params)
     t_end = float(times[-1]) if times[-1] > 0 else 1.0
@@ -351,46 +301,40 @@ def _integrate_adaptive(model, rho_init, params, grid, dt, rel_tol, abs_tol) -> 
             states.append(DensityMatrix(space, m))
         except ValueError as exc:
             raise IntegrationError(f"invalid state at t = {t1:.6g}: {exc}") from exc
-    (outcome,) = _gate(times, [states], np.array([state.matrix for state in states])[None])
-    return outcome
+    return _gate(times, states, np.array([state.matrix for state in states]))
 
 
-def _gate(times, states, stack) -> list[Trajectory | IntegrationError]:
-    """Observables and the positivity/trace gate of a (B, T, d, d) snapshot stack.
+def _gate(times, states, stack) -> Trajectory:
+    """Observables and the positivity/trace gate of a (T, d, d) snapshot stack.
 
-    Returns one Trajectory per member, or the IntegrationError naming its
-    first offending snapshot, positivity before trace. Each observable
-    takes one pass over the stack, and all of them round exactly as a
-    per-snapshot loop would; p_singlet and p_triplet stay one 1-D dot
-    product per snapshot, because a stacked matrix-vector product rounds
-    differently for d >= 4. The gate reads np.trace, which equals
-    DensityMatrix.trace bit for bit, where the diagonal sum does not.
+    Raises the IntegrationError naming the first offending snapshot,
+    positivity before trace. Each observable takes one pass over the
+    stack, and all of them round exactly as a per-snapshot loop would;
+    p_singlet and p_triplet stay one 1-D dot product per snapshot,
+    because a stacked matrix-vector product rounds differently for
+    d >= 4. The gate reads np.trace, which equals DensityMatrix.trace bit
+    for bit, where the diagonal sum does not.
     """
-    space = states[0][0].space
-    diag = np.diagonal(stack, axis1=2, axis2=3).real
-    diag_sum = diag.sum(axis=2)
-    trace = np.trace(stack, axis1=2, axis2=3).real
-    min_eigenvalue = np.linalg.eigvalsh(stack)[..., 0]
-    outcomes = []
-    for j, rows in enumerate(diag):
-        negative = min_eigenvalue[j] < -PSD_FAIL_TOL
-        bad = np.flatnonzero(negative | (trace[j] <= 0.0) | (trace[j] > 1.0 + TRACE_TOL))
-        if not bad.size:
-            series = ObservableSeries(
-                trace=diag_sum[j],
-                p_singlet=np.array([row @ space.singlet_diag for row in rows]),
-                p_triplet=np.array([row @ space.triplet_diag for row in rows]),
-                min_eigenvalue=min_eigenvalue[j],
-            )
-            outcomes.append(Trajectory(times=times, states=tuple(states[j]), observables=series))
-            continue
+    space = states[0].space
+    diag = np.diagonal(stack, axis1=1, axis2=2).real
+    trace = np.trace(stack, axis1=1, axis2=2).real
+    min_eigenvalue = np.linalg.eigvalsh(stack)[:, 0]
+    negative = min_eigenvalue < -PSD_FAIL_TOL
+    bad = np.flatnonzero(negative | (trace <= 0.0) | (trace > 1.0 + TRACE_TOL))
+    if bad.size:
         i = bad[0]
         if negative[i]:
-            message = f"positivity violated at t = {times[i]:.6g}: min eigenvalue {min_eigenvalue[j, i]:.3e}"
-        else:
-            message = f"trace out of range at t = {times[i]:.6g}: {trace[j, i]:.12g}"
-        outcomes.append(IntegrationError(message))
-    return outcomes
+            raise IntegrationError(
+                f"positivity violated at t = {times[i]:.6g}: min eigenvalue {min_eigenvalue[i]:.3e}"
+            )
+        raise IntegrationError(f"trace out of range at t = {times[i]:.6g}: {trace[i]:.12g}")
+    series = ObservableSeries(
+        trace=diag.sum(axis=1),
+        p_singlet=np.array([row @ space.singlet_diag for row in diag]),
+        p_triplet=np.array([row @ space.triplet_diag for row in diag]),
+        min_eigenvalue=min_eigenvalue,
+    )
+    return Trajectory(times=times, states=tuple(states), observables=series)
 
 
 def analytic_jones_hore(rho_init: DensityMatrix, params: RateParams, t: float) -> DensityMatrix:

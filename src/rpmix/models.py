@@ -12,11 +12,18 @@ The two unnormalized flows lose trace at the rate -k_S Tr(Q_S rho). The
 two normalized flows act on the unit-trace surviving-pair state and are
 traceless.
 
-Each flow is written twice: :func:`rhs_function` returns a closure on
-one (d, d) matrix, which the adaptive stepper and the checks run, and
-:func:`stacked_rhs_function` a closure on a (B, d, d) stack, one kind
-per member, which the fixed-step stepper runs. A stack member rounds
-exactly as the one-matrix closure would round it alone.
+Each flow is written twice. :func:`rhs_function` returns a closure on
+one (d, d) matrix, which the adaptive stepper and the checks run. Every
+flow also multiplies each entry of the singlet-singlet (SS),
+singlet-triplet (ST) and triplet-triplet (TT) blocks by one real rate
+that depends only on tau = Tr{Q_T rho Q_T}; :func:`block_rates` returns
+those three rates as a function of tau, which the fixed-step stepper
+runs:
+
+- jones-hore:         (-k_S, -k_S, 0)
+- haberkorn:          (-k_S, -k_S/2, 0)
+- normalized-jh:      (-k_S tau, -k_S tau, -k_S (tau - 1))
+- normalized-kominis: (-k_S, -k_S, -k_S (1 - 1/tau))
 
 The normalized-jh form is written multiplied out, which removes the
 removable 0/0 at pure-singlet states (where it has the fixed point the
@@ -30,7 +37,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -40,15 +47,7 @@ DENOM_FLOOR = 1e-12
 
 
 class ModelSingular(Exception):
-    """Raised where a master equation is genuinely undefined (zero denominator).
-
-    ``member`` is the index of the offending member when a stacked
-    right-hand side raises it, and None otherwise.
-    """
-
-    def __init__(self, message: str, member: int | None = None):
-        super().__init__(message)
-        self.member = member
+    """Raised where a master equation is genuinely undefined (zero denominator)."""
 
 
 class ModelKind(enum.Enum):
@@ -83,11 +82,10 @@ class RateParams:
             raise ValueError(f"k_s must be nonnegative, got {self.k_s}")
 
 
-def _singular(tr_t: float, member: int | None = None) -> ModelSingular:
+def _singular(tr_t: float) -> ModelSingular:
     return ModelSingular(
         f"triplet population {tr_t:.3e} below floor {DENOM_FLOOR:.1e}; "
-        "normalized-kominis flow undefined",
-        member,
+        "normalized-kominis flow undefined"
     )
 
 
@@ -144,45 +142,43 @@ def rhs_function(
     raise ValueError(f"unhandled model {model!r}")
 
 
-def stacked_rhs_function(
-    kinds: Sequence[ModelKind], space: SpinSpace, params: RateParams
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The flows of rhs_function on a (B, d, d) stack, member b under ``kinds[b]``.
+def block_rates(
+    model: ModelKind, k_s: float
+) -> Callable[[float], tuple[float, float, float]]:
+    """The flow's rates on its SS, ST and TT blocks as a function of tau.
 
-    A stack is either all linear or all normalized, and each member
-    repeats its one-matrix formula: a linear member is multiplied by its
-    decay matrix, a normalized-jh member is scaled in place by its own
-    triplet trace and a normalized-kominis member has its projection
-    divided in place. Multiplying every member by a coefficient array
-    instead would also touch the members whose coefficient is 1 and could
-    flip the sign of their exact zeros.
+    Returns r with r(tau) = (c_SS, c_ST, c_TT) in Python floats, where
+    rhs_function(model, ...)(m) equals c_X * m on block X, up to
+    rounding, and tau is Tr{Q_T m Q_T}. The linear flows ignore tau.
 
     Raises
     ------
     ModelSingular
-        As rhs_function, with the offending member's index in ``member``.
+        From the normalized-kominis rates when tau falls below
+        DENOM_FLOOR, with rhs_function's message.
     """
-    k = params.k_s
-    if not any(kind.is_normalized for kind in kinds):
-        decay = np.array([_decay(kind, space, k) for kind in kinds])
-        return lambda x: decay * x
-    if not all(kind.is_normalized for kind in kinds):
-        raise ValueError("a stack cannot mix linear and normalized flows")
-    tt_mask = space.triplet_mask
-    scaled = [b for b, kind in enumerate(kinds) if kind is ModelKind.NORMALIZED_JONES_HORE]
-    divided = [b for b, kind in enumerate(kinds) if kind is ModelKind.NORMALIZED_KOMINIS]
+    k = float(k_s)
+    if model is ModelKind.JONES_HORE:
+        rates = (-k, -k, 0.0)
+        return lambda tau: rates
+    if model is ModelKind.HABERKORN:
+        rates = (-k, -k / 2.0, 0.0)
+        return lambda tau: rates
+    if model is ModelKind.NORMALIZED_JONES_HORE:
 
-    def f_stack(x: np.ndarray) -> np.ndarray:
-        projected = tt_mask * x
-        tr_t = projected.trace(axis1=1, axis2=2).real
-        for b in divided:
-            if tr_t[b] < DENOM_FLOOR:
-                raise _singular(tr_t[b], b)
-            projected[b] /= tr_t[b]
-        if scaled:
-            x = x.copy()
-            for b in scaled:
-                x[b] *= tr_t[b]
-        return -k * (x - projected)
+        def normalized_jh(tau: float) -> tuple[float, float, float]:
+            c = -k * tau
+            return c, c, -k * (tau - 1.0)
 
-    return f_stack
+        return normalized_jh
+
+    if model is ModelKind.NORMALIZED_KOMINIS:
+
+        def normalized_kominis(tau: float) -> tuple[float, float, float]:
+            if tau < DENOM_FLOOR:
+                raise _singular(tau)
+            return -k, -k, -k * (1.0 - 1.0 / tau)
+
+        return normalized_kominis
+
+    raise ValueError(f"unhandled model {model!r}")

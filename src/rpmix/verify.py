@@ -21,16 +21,19 @@ Deviations between time derivatives scale with the rate, so they are
 judged against the tolerance times k_S; the verdicts then depend only
 on k_S t.
 
-Route B is integrated once per scenario and that one trajectory is
-shared by every check that judges it; each such check takes it as an
-argument and reads its grid from ``traj.times``. When the discrepancy
-check applies, :func:`run_scenario` integrates route B and the
-normalized-kominis route together, as one two-member fixed-step stack
-(:func:`rpmix.integrator.integrate_stack`), and the discrepancy check
-takes the kominis trajectory as an argument too. :func:`run_scenario`
-turns every library error into a failed check that names its cause; a
-failure of route B is recorded under each check that depends on it,
-and a failure of the kominis route under the discrepancy check.
+Route B is integrated once per scenario, by :func:`route_b`, and that
+one trajectory is shared by every check that judges it; each such check
+takes it as an argument and reads its grid from ``traj.times``. When the
+discrepancy check applies, :func:`run_scenario` integrates the
+normalized-kominis route with a second fixed-step
+:func:`~rpmix.integrator.integrate` call, and the discrepancy check
+takes that trajectory as an argument too. Both routes step three real
+block factors instead of a matrix (see :mod:`rpmix.integrator`), so a
+fixed point such as the pure singlet under route B is reproduced
+exactly at any step size. :func:`run_scenario` turns every library
+error into a failed check that names its cause; a failure of route B is
+recorded under each check that depends on it, and a failure of the
+kominis route under the discrepancy check.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .integrator import (
     Trajectory,
     analytic_jones_hore,
     integrate,
-    integrate_stack,
 )
 from .kinetics import (
     P_FLOOR,
@@ -175,20 +177,17 @@ def _tolerance(k_s: float, dt: float | None) -> float:
     return BASE_TOL * (_step(k_s, dt) * k_s / BASE_DT_SCALE) ** 4
 
 
+def _fixed_step(model: ModelKind, rho_init: DensityMatrix, k_s: float, grid, dt: float | None) -> Trajectory:
+    return integrate(model, rho_init, RateParams(k_s=k_s), grid, method="rk4-fixed", dt=_step(k_s, dt))
+
+
 def route_b(rho_init: DensityMatrix, k_s: float, grid, dt: float | None) -> Trajectory:
     """Route B: the normalized-jh flow integrated with fixed RK4 steps over the grid.
 
     The step is dt, or 1e-3 / k_S when dt is None; pass the same dt to
     the checks that judge the trajectory, since it sets their tolerance.
     """
-    return integrate(
-        ModelKind.NORMALIZED_JONES_HORE,
-        rho_init,
-        RateParams(k_s=k_s),
-        grid,
-        method="rk4-fixed",
-        dt=_step(k_s, dt),
-    )
+    return _fixed_step(ModelKind.NORMALIZED_JONES_HORE, rho_init, k_s, grid, dt)
 
 
 def _max_over_grid(times, deviations) -> tuple[float, float]:
@@ -363,14 +362,7 @@ def check_kominis_singularity(
     raised = False
     message = None
     try:
-        integrate(
-            ModelKind.NORMALIZED_KOMINIS,
-            rho_init,
-            RateParams(k_s=k_s),
-            traj.times,
-            method="rk4-fixed",
-            dt=_step(k_s, dt),
-        )
+        _fixed_step(ModelKind.NORMALIZED_KOMINIS, rho_init, k_s, traj.times, dt)
     except ModelSingular as exc:
         raised = True
         message = str(exc)
@@ -419,17 +411,14 @@ def run_scenario(scenario: Scenario, scheme: str = "corrected") -> ConsistencyRe
 
     Route B is integrated once and shared by the checks that judge it;
     when the discrepancy check applies, the kominis route is integrated
-    in the same stack. Every library error becomes a failed check whose
-    ``error`` names the cause; if a route itself fails, each check on it
-    records that error, route B's first.
+    next. Every library error becomes a failed check whose ``error``
+    names the cause; if a route itself fails, each check on it records
+    that error, route B's first.
     """
-    rho, k_s, dt = scenario.rho_init, scenario.k_s, scenario.dt
+    rho, k_s, dt, grid = scenario.rho_init, scenario.k_s, scenario.dt, scenario.grid
     p_t = mixture_from_initial(rho).p_t
     tol = _tolerance(k_s, dt)
     discrepancy = P_FLOOR < p_t < 1.0 - P_FLOOR
-    models = [ModelKind.NORMALIZED_JONES_HORE]
-    if discrepancy:
-        models.append(ModelKind.NORMALIZED_KOMINIS)
 
     def failed(name, exc):
         return CheckRecord(name, None, None, tol, False, error=str(exc))
@@ -440,10 +429,15 @@ def run_scenario(scenario: Scenario, scheme: str = "corrected") -> ConsistencyRe
         except CONTAINED_ERRORS as exc:
             return failed(name, exc)
 
-    try:
-        routes = integrate_stack(models, rho, RateParams(k_s=k_s), scenario.grid, _step(k_s, dt))
-    except CONTAINED_ERRORS as exc:
-        routes = (exc,) * len(models)
+    def integrated(route, *args):
+        try:
+            return route(*args, rho, k_s, grid, dt)
+        except CONTAINED_ERRORS as exc:
+            return exc
+
+    routes = [integrated(route_b)]
+    if discrepancy:
+        routes.append(integrated(_fixed_step, ModelKind.NORMALIZED_KOMINIS))
 
     def on_routes(name, check, routes, *args):
         for route in routes:

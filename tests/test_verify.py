@@ -10,8 +10,11 @@ from rpmix.kinetics import P_FLOOR, mixture_from_initial
 from rpmix.integrator import integrate
 from rpmix.models import ModelKind, RateParams
 from rpmix.spinspace import (
+    PRESET_NAMES,
     DensityMatrix,
     electron_pair_space,
+    make_space,
+    preset_state,
     random_density_matrix,
     two_level_space,
 )
@@ -30,6 +33,7 @@ from rpmix.verify import (
 
 SP2 = two_level_space()
 SP4 = electron_pair_space()
+SP8 = make_space(8, (0, 1))
 GRID = np.linspace(0.0, 10.0, 101)
 SHORT_GRID = np.linspace(0.0, 2.0, 21)
 
@@ -263,20 +267,15 @@ class TestSharedRouteB:
         ids=["pT-0", "pT-1", "mixed", "superposition"],
     )
     def test_route_b_integrated_once_per_scenario(self, monkeypatch, rho, kominis_runs, scheme):
-        # every trajectory run_scenario integrates, lone or as a stack member
+        # every trajectory run_scenario integrates
         models = []
-        integrate, integrate_stack = verify.integrate, verify.integrate_stack
+        integrate = verify.integrate
 
         def counting(model, *args, **kwargs):
             models.append(model)
             return integrate(model, *args, **kwargs)
 
-        def counting_stack(stack_models, *args, **kwargs):
-            models.extend(stack_models)
-            return integrate_stack(stack_models, *args, **kwargs)
-
         monkeypatch.setattr(verify, "integrate", counting)
-        monkeypatch.setattr(verify, "integrate_stack", counting_stack)
         run_scenario(Scenario(label="count", rho_init=rho, t_end=2.0, n_snapshots=21), scheme)
         assert models.count(ModelKind.NORMALIZED_JONES_HORE) == 1
         assert models.count(ModelKind.NORMALIZED_KOMINIS) == kominis_runs
@@ -300,16 +299,14 @@ class TestSharedRouteB:
                 assert np.array_equal(getattr(report.divergence, name), getattr(curve, name))
 
     def test_route_b_failure_fans_out_to_every_dependent_check(self, monkeypatch):
-        integrate_stack = verify.integrate_stack
+        integrate = verify.integrate
 
-        def failing(models, *args, **kwargs):
-            outcomes = integrate_stack(models, *args, **kwargs)
-            return tuple(
-                IntegrationError("route B broke") if model is ModelKind.NORMALIZED_JONES_HORE else outcome
-                for model, outcome in zip(models, outcomes)
-            )
+        def failing(model, *args, **kwargs):
+            if model is ModelKind.NORMALIZED_JONES_HORE:
+                raise IntegrationError("route B broke")
+            return integrate(model, *args, **kwargs)
 
-        monkeypatch.setattr(verify, "integrate_stack", failing)
+        monkeypatch.setattr(verify, "integrate", failing)
         report = run_scenario(Scenario(label="fan-out", rho_init=EQUAL_MIX, t_end=2.0, n_snapshots=21))
         records = {c.name: c for c in report.checks}
         for name in ("route-equivalence", "mixture-identity", "kominis-discrepancy"):
@@ -321,30 +318,22 @@ class TestSharedRouteB:
 
 
 def nan_when_triplet_above(level):
-    """Wrap integrator.stacked_rhs_function: a normalized-kominis member turns
-    non-finite once its triplet population passes ``level``, in a stack or alone."""
-    build = integrator.stacked_rhs_function
+    """Wrap integrator.block_rates: the normalized-kominis rates turn
+    non-finite once the triplet population passes ``level``."""
+    build = integrator.block_rates
 
-    def faulty(kinds, space, params):
-        f = build(kinds, space, params)
-        kominis = [b for b, kind in enumerate(kinds) if kind is ModelKind.NORMALIZED_KOMINIS]
-
-        def rhs(x):
-            out = f(x)
-            for b in kominis:
-                if x[b].diagonal().real @ space.triplet_diag > level:
-                    out[b] = np.nan
-            return out
-
-        return rhs
+    def faulty(model, k_s):
+        rates = build(model, k_s)
+        if model is not ModelKind.NORMALIZED_KOMINIS:
+            return rates
+        return lambda tau: (math.nan,) * 3 if tau > level else rates(tau)
 
     return faulty
 
 
-class TestStackedRoutes:
+class TestRouteFailures:
     SCENARIO = Scenario(label="mixed", rho_init=EQUAL_MIX, t_end=2.0, n_snapshots=21)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("fault", ["singular", "non-finite"])
     def test_kominis_failure_leaves_route_b_checks_unchanged(self, monkeypatch, fault):
         clean = {c.name: c for c in run_scenario(self.SCENARIO).checks}
@@ -353,7 +342,7 @@ class TestStackedRoutes:
             monkeypatch.setattr(models, "DENOM_FLOOR", 0.75)
         else:
             # reached between t = 0.9 and t = 1 on the kominis route
-            monkeypatch.setattr(integrator, "stacked_rhs_function", nan_when_triplet_above(0.8))
+            monkeypatch.setattr(integrator, "block_rates", nan_when_triplet_above(0.8))
         lone = integrate(ModelKind.NORMALIZED_JONES_HORE, EQUAL_MIX, RateParams(k_s=1.0), self.SCENARIO.grid,
                          method="rk4-fixed", dt=1e-3)
         with pytest.raises((models.ModelSingular, IntegrationError)) as alone:
@@ -464,3 +453,21 @@ class TestRateScale:
             return check_mixture_identity(rho, k_s, traj, None, scheme).passed
 
         assert verdict(c * base) == verdict(base)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        space=st.sampled_from([SP2, SP4, SP8]),
+        state=st.one_of(st.sampled_from(PRESET_NAMES), st.integers(min_value=0, max_value=2**32 - 1)),
+        dt=st.sampled_from([None, 5e-3]),
+        c=st.floats(min_value=1e-3, max_value=1e6),
+    )
+    def test_report_verdicts_invariant_under_rate_rescaling(self, space, state, dt, c):
+        # the physics depends only on k_S t, so (k_S, t_end, dt) -> (c k_S,
+        # t_end / c, dt / c) must leave every check's verdict as it was
+        rho = preset_state(space, state) if isinstance(state, str) else random_density_matrix(space, state)
+        base = Scenario("base", rho, k_s=1.0, t_end=2.0, n_snapshots=21, dt=dt)
+        scaled = Scenario("scaled", rho, k_s=c, t_end=2.0 / c, n_snapshots=21, dt=None if dt is None else dt / c)
+        for scheme in ("corrected", "kominis"):
+            want = [(check.name, check.passed) for check in run_scenario(base, scheme).checks]
+            got = [(check.name, check.passed) for check in run_scenario(scaled, scheme).checks]
+            assert got == want, scheme
