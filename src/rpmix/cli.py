@@ -91,7 +91,7 @@ weight_scheme: corrected | kominis          # default corrected
 integrator:                 # optional
   method: rk45-adaptive | rk4-fixed         # default rk45-adaptive
   rel_tol: <float > 0>                      # default 1e-9
-  abs_tol: <float >= 0>                     # default 1e-12
+  abs_tol: <float >= 0>                     # default 1e-12; 0 is pure relative control
   dt: <float > 0>                           # default 1e-3 / k_S
 time:                       # required
   t_end: <float > 0>

@@ -1,42 +1,44 @@
 """Time evolution of the master-equation variants.
 
-Two steppers; the first snapshot of either is the initial state itself.
+Every flow scales each entry of the singlet-singlet, singlet-triplet and
+triplet-triplet blocks of rho by one real rate
+(:func:`~rpmix.models.block_rates`), so both steppers run on the three
+block factors (a_SS, a_ST, tau) in Python floats, and `integrate` scales
+the re-symmetrized initial state by them once per run. The
+triplet-triplet factor is carried as the triplet population tau itself,
+which stays at most 1, times Q_T rho_0 Q_T / tau_0.
 
 - "rk4-fixed": classic fourth-order Runge-Kutta with a uniform substep,
-  the workhorse for convergence-order and consistency tests. Every flow
-  scales each entry of the singlet-singlet, singlet-triplet and
-  triplet-triplet blocks by one real rate (:func:`~rpmix.models.block_rates`),
-  so the RK4 iterates are exactly rho_0 scaled blockwise by three real
-  factors. The stepper runs RK4 on those three scalars in Python floats
-  and scales the re-symmetrized initial state by them once per run. The
-  triplet-triplet factor is carried as the triplet population tau
-  itself, which stays at most 1, times Q_T rho_0 Q_T / tau_0. At an
-  exact fixed point every rate that acts on a nonzero block is exactly
-  zero, so the state comes back bit for bit at every snapshot.
-- "rk45-adaptive": Fehlberg embedded 4(5) pair with standard
-  error-controlled step adjustment (safety factor 0.9, step clamped to
-  [1e-12, t_end]); the fifth-order solution is propagated. A trial step
-  keeps its six stages in one (6, d, d) array and forms every stage
-  input, and both embedded solutions, as weighted reductions over it.
+  the workhorse for convergence-order and consistency tests.
+- "rk45-adaptive": Fehlberg embedded 4(5) pair, propagating the
+  fifth-order solution, with standard step control (safety factor 0.9,
+  step factor clamped to [0.2, 5], step to [1e-12, t_end]). The error
+  norm is the matrix step's max |e_ij| / (abs_tol + rel_tol max(|m_ij|,
+  |m'_ij|)) restated on the factors: entry ij of block X has error
+  |e_X B_ij|, and its ratio grows with |B_ij|, so the block's maximum
+  sits at M_X = max |B_ij|. An exactly zero error counts as ratio 0, so
+  abs_tol = 0 is pure relative control.
 
-Every accepted adaptive step is followed by re-symmetrization
-rho <- (rho + rho^dagger)/2, which keeps snapshots exactly Hermitian; the
-fixed-step snapshots are real multiples of the re-symmetrized initial
-state and Hermitian too. The snapshots are stacked into one (T, d, d)
-array once the run ends; the observables and the positivity and trace
-gate each take one pass over that stack, and all of them round exactly
-as a per-snapshot loop would. Positivity is monitored at each snapshot
-but never projected: a violation beyond the fail tolerance aborts the
-run, naming the first offending snapshot, because hiding it would mask
-exactly the model pathologies this package exists to expose.
+The first snapshot is the initial state itself; the others are real
+multiples of the re-symmetrized initial state's blocks, hence exactly
+Hermitian. An empty block's factor starts at exactly 0, and da/dt = c a
+keeps it there however unstable the step, so at an exact fixed point,
+where every rate acting on a nonzero block is exactly zero, they are the
+initial state bit for bit.
+They are stacked into one (T, d, d) array once the run ends; the
+observables and the positivity and trace gate each take one pass over
+that stack, and all of them round exactly as a per-snapshot loop would.
+Positivity is monitored at each snapshot but never projected: a
+violation beyond the fail tolerance aborts the run, naming the first
+offending snapshot, because hiding it would mask exactly the model
+pathologies this package exists to expose.
 
-The adaptive stepper runs the one-matrix closure of
-:func:`~rpmix.models.rhs_function` on the raw density matrix. The two
-linear flows have exact propagators, kept as oracles: the
-projection-replacement equation damps every matrix block except the
-triplet-triplet one at rate k_S, while the anticommutator equation
-damps the singlet-singlet block at k_S and the singlet-triplet
-coherences at k_S/2.
+:func:`~rpmix.models.rhs_function`, the one-matrix form of each flow,
+serves only the checks; no stepper calls it. The two linear flows have
+exact propagators, kept as oracles: the projection-replacement equation
+damps every matrix block except the triplet-triplet one at rate k_S,
+while the anticommutator equation damps the singlet-singlet block at k_S
+and the singlet-triplet coherences at k_S/2.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# no stepper calls rhs_function; it stays bound here for perfbench/tracing.py to wrap
 from .models import ModelKind, ModelSingular, RateParams, block_rates, rhs_function
 from .spinspace import (
     PSD_FAIL_TOL,
@@ -84,109 +87,126 @@ class Trajectory:
     observables: ObservableSeries
 
 
-def _resymmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+# Fehlberg 4(5) tableau: _A<i> weights stages 1..i-1 in stage i (_A2 = 1/4 is
+# inline); _B4 and _B5 weight stages 1, 3, 4, 5 (and 6): stage 2 has weight 0.
+_A3 = (3.0 / 32.0, 9.0 / 32.0)
+_A4 = (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0)
+_A5 = (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0)
+_A6 = (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0)
+_B4 = (25.0 / 216.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0)
+_B5 = (16.0 / 135.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
 
 
-# Fehlberg 4(5) tableau. _FEHLBERG_A[i] holds the coefficients of stages
-# 0..i-1 in stage i, shaped (i, 1, 1) to weight a stage stack. The rows of
-# _FEHLBERG_W are the 4th- and 5th-order weights of stages 0, 2, 3, 4 and 5;
-# stage 1 has zero weight in both orders.
-_FEHLBERG_A = tuple(
-    np.array(row).reshape(-1, 1, 1)
-    for row in (
-        (),
-        (1.0 / 4.0,),
-        (3.0 / 32.0, 9.0 / 32.0),
-        (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
-        (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
-        (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
-    )
-)
-_FEHLBERG_USED = np.array([0, 2, 3, 4, 5])
-_FEHLBERG_W = np.array([
-    (25.0 / 216.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0),
-    (16.0 / 135.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0),
-]).reshape(2, 5, 1, 1)
-
-
-def _rkf45_step(f, m: np.ndarray, h: float):
-    """One Fehlberg trial step: returns (5th-order result, error estimate).
-
-    The stages live in one (6, d, d) array. Each weighted stage sum is a
-    reduction over the stage axis, which numpy adds term by term from
-    zero, so it rounds exactly as a running sum of the terms would.
-    """
-    k = np.empty((6,) + m.shape, dtype=complex)
-    k[0] = f(m)
-    for i in range(1, 6):
-        k[i] = f(m + h * np.add.reduce(_FEHLBERG_A[i] * k[:i]))
-    m4, m5 = m + h * np.add.reduce(_FEHLBERG_W * k[_FEHLBERG_USED], axis=1)
-    return m5, m5 - m4
-
-
-def _substeps(t0: float, t1: float, dt: float) -> tuple[int, float]:
-    """The number and size of the uniform RK4 substeps spanning [t0, t1] at most dt apart."""
-    n_sub = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
-    return n_sub, (t1 - t0) / n_sub
-
-
-def _advance_blocks(rates, x: tuple[float, float, float], n_sub: int, h: float):
-    """n_sub classic RK4 steps of the block factors x = (a_SS, a_ST, tau).
-
-    Block X scales as da_X/dt = c_X(tau) a_X, with tau = Tr{Q_T rho Q_T}
-    standing in for the triplet-triplet factor times tau_0.
-    """
+def _fehlberg_blocks(rates, x, h: float):
+    """One unrolled Fehlberg trial step of the block factors: (5th-order factors, error estimate)."""
     s, c, tau = x
-    half, sixth = 0.5 * h, h / 6.0
-    for _ in range(n_sub):
-        r_s, r_c, r_t = rates(tau)
-        k1s, k1c, k1t = r_s * s, r_c * c, r_t * tau
-        y_s, y_c, y_t = s + half * k1s, c + half * k1c, tau + half * k1t
-        r_s, r_c, r_t = rates(y_t)
-        k2s, k2c, k2t = r_s * y_s, r_c * y_c, r_t * y_t
-        y_s, y_c, y_t = s + half * k2s, c + half * k2c, tau + half * k2t
-        r_s, r_c, r_t = rates(y_t)
-        k3s, k3c, k3t = r_s * y_s, r_c * y_c, r_t * y_t
-        y_s, y_c, y_t = s + h * k3s, c + h * k3c, tau + h * k3t
-        r_s, r_c, r_t = rates(y_t)
-        s += sixth * (k1s + 2.0 * (k2s + k3s) + r_s * y_s)
-        c += sixth * (k1c + 2.0 * (k2c + k3c) + r_c * y_c)
-        tau += sixth * (k1t + 2.0 * (k2t + k3t) + r_t * y_t)
-    return s, c, tau
+    r_s, r_c, r_t = rates(tau)
+    k1s, k1c, k1t = r_s * s, r_c * c, r_t * tau
+    y_s, y_c, y_t = s + h * (0.25 * k1s), c + h * (0.25 * k1c), tau + h * (0.25 * k1t)
+    r_s, r_c, r_t = rates(y_t)
+    k2s, k2c, k2t = r_s * y_s, r_c * y_c, r_t * y_t
+    a1, a2 = _A3
+    y_s = s + h * (a1 * k1s + a2 * k2s)
+    y_c = c + h * (a1 * k1c + a2 * k2c)
+    y_t = tau + h * (a1 * k1t + a2 * k2t)
+    r_s, r_c, r_t = rates(y_t)
+    k3s, k3c, k3t = r_s * y_s, r_c * y_c, r_t * y_t
+    a1, a2, a3 = _A4
+    y_s = s + h * (a1 * k1s + a2 * k2s + a3 * k3s)
+    y_c = c + h * (a1 * k1c + a2 * k2c + a3 * k3c)
+    y_t = tau + h * (a1 * k1t + a2 * k2t + a3 * k3t)
+    r_s, r_c, r_t = rates(y_t)
+    k4s, k4c, k4t = r_s * y_s, r_c * y_c, r_t * y_t
+    a1, a2, a3, a4 = _A5
+    y_s = s + h * (a1 * k1s + a2 * k2s + a3 * k3s + a4 * k4s)
+    y_c = c + h * (a1 * k1c + a2 * k2c + a3 * k3c + a4 * k4c)
+    y_t = tau + h * (a1 * k1t + a2 * k2t + a3 * k3t + a4 * k4t)
+    r_s, r_c, r_t = rates(y_t)
+    k5s, k5c, k5t = r_s * y_s, r_c * y_c, r_t * y_t
+    a1, a2, a3, a4, a5 = _A6
+    y_s = s + h * (a1 * k1s + a2 * k2s + a3 * k3s + a4 * k4s + a5 * k5s)
+    y_c = c + h * (a1 * k1c + a2 * k2c + a3 * k3c + a4 * k4c + a5 * k5c)
+    y_t = tau + h * (a1 * k1t + a2 * k2t + a3 * k3t + a4 * k4t + a5 * k5t)
+    r_s, r_c, r_t = rates(y_t)
+    k6s, k6c, k6t = r_s * y_s, r_c * y_c, r_t * y_t
+    b1, b3, b4, b5 = _B4
+    s4 = s + h * (b1 * k1s + b3 * k3s + b4 * k4s + b5 * k5s)
+    c4 = c + h * (b1 * k1c + b3 * k3c + b4 * k4c + b5 * k5c)
+    tau4 = tau + h * (b1 * k1t + b3 * k3t + b4 * k4t + b5 * k5t)
+    b1, b3, b4, b5, b6 = _B5
+    s5 = s + h * (b1 * k1s + b3 * k3s + b4 * k4s + b5 * k5s + b6 * k6s)
+    c5 = c + h * (b1 * k1c + b3 * k3c + b4 * k4c + b5 * k5c + b6 * k6c)
+    tau5 = tau + h * (b1 * k1t + b3 * k3t + b4 * k4t + b5 * k5t + b6 * k6t)
+    return (s5, c5, tau5), (s5 - s4, c5 - c4, tau5 - tau4)
 
 
-def _advance_adaptive(
-    f,
-    m: np.ndarray,
-    t0: float,
-    t1: float,
-    h: float,
-    rel_tol: float,
-    abs_tol: float,
-    t_end: float,
-):
-    """Error-controlled advance over [t0, t1]; returns (state, last step size)."""
-    t = t0
-    while t < t1 - 1e-15 * max(1.0, t1):
-        h = min(h, t1 - t)
-        trial, err = _rkf45_step(f, m, h)
-        scale = abs_tol + rel_tol * np.maximum(np.abs(m), np.abs(trial))
-        err_ratio = float(np.max(np.abs(err) / scale))
-        if not math.isfinite(err_ratio):
-            raise IntegrationError(f"non-finite error estimate at t = {t:.12g}")
-        if err_ratio <= 1.0:
-            t += h
-            m = _resymmetrize(trial)
-            factor = 5.0 if err_ratio == 0.0 else min(5.0, 0.9 * err_ratio ** -0.2)
-        else:
-            factor = max(0.2, 0.9 * err_ratio ** -0.2)
-            if h <= MIN_STEP:
-                raise IntegrationError(
-                    f"step size underflow at t = {t:.12g} (error ratio {err_ratio:.3g})"
-                )
-        h = min(max(h * factor, MIN_STEP), t_end)
-    return m, h
+def _rk4_advance(rates, dt: float):
+    """The fixed-step advance of the block factors x = (a_SS, a_ST, tau) over one snapshot interval.
+
+    Classic RK4 with uniform substeps at most dt apart. Block X scales as
+    da_X/dt = c_X(tau) a_X, with tau = Tr{Q_T rho Q_T} standing in for
+    the triplet-triplet factor times tau_0.
+    """
+
+    def advance(x, t0: float, t1: float):
+        n_sub = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
+        h = (t1 - t0) / n_sub
+        s, c, tau = x
+        half, sixth = 0.5 * h, h / 6.0
+        for _ in range(n_sub):
+            r_s, r_c, r_t = rates(tau)
+            k1s, k1c, k1t = r_s * s, r_c * c, r_t * tau
+            y_s, y_c, y_t = s + half * k1s, c + half * k1c, tau + half * k1t
+            r_s, r_c, r_t = rates(y_t)
+            k2s, k2c, k2t = r_s * y_s, r_c * y_c, r_t * y_t
+            y_s, y_c, y_t = s + half * k2s, c + half * k2c, tau + half * k2t
+            r_s, r_c, r_t = rates(y_t)
+            k3s, k3c, k3t = r_s * y_s, r_c * y_c, r_t * y_t
+            y_s, y_c, y_t = s + h * k3s, c + h * k3c, tau + h * k3t
+            r_s, r_c, r_t = rates(y_t)
+            s += sixth * (k1s + 2.0 * (k2s + k3s) + r_s * y_s)
+            c += sixth * (k1c + 2.0 * (k2c + k3c) + r_c * y_c)
+            tau += sixth * (k1t + 2.0 * (k2t + k3t) + r_t * y_t)
+        return s, c, tau
+
+    return advance
+
+
+def _rkf45_advance(rates, peaks, t_end: float, rel_tol: float, abs_tol: float):
+    """The error-controlled advance of the block factors over one snapshot interval.
+
+    peaks holds M_X = max |B_ij| of each block; the step size carries over between intervals.
+    """
+    h = 0.1 * t_end
+
+    def advance(x, t0: float, t1: float):
+        nonlocal h
+        t = t0
+        while t < t1 - 1e-15 * max(1.0, t1):
+            h = min(h, t1 - t)
+            trial, err = _fehlberg_blocks(rates, x, h)
+            err_ratio = 0.0
+            for e, a, b, peak in zip(err, x, trial, peaks):
+                if e:  # a zero error counts as ratio 0; so does an empty block, whose factor stays 0
+                    scale = abs_tol + rel_tol * max(abs(a), abs(b)) * peak
+                    ratio = abs(e) * peak / scale if scale else math.inf
+                    if not math.isfinite(ratio):
+                        raise IntegrationError(f"non-finite error estimate at t = {t:.12g}")
+                    err_ratio = max(err_ratio, ratio)
+            if err_ratio <= 1.0:
+                t += h
+                x = trial
+                factor = 5.0 if err_ratio == 0.0 else min(5.0, 0.9 * err_ratio ** -0.2)
+            else:
+                factor = max(0.2, 0.9 * err_ratio ** -0.2)
+                if h <= MIN_STEP:
+                    raise IntegrationError(
+                        f"step size underflow at t = {t:.12g} (error ratio {err_ratio:.3g})"
+                    )
+            h = min(max(h * factor, MIN_STEP), t_end)
+        return x
+
+    return advance
 
 
 def _prepare(model, rho_init: DensityMatrix, params: RateParams, grid, dt: float | None):
@@ -244,36 +264,36 @@ def integrate(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; valid methods: {', '.join(METHODS)}")
     times, dt = _prepare(model, rho_init, params, grid, dt)
-    if method == "rk4-fixed":
-        return _integrate_fixed(model, rho_init, params, times, dt)
-    return _integrate_adaptive(model, rho_init, params, times, rel_tol, abs_tol)
-
-
-def _integrate_fixed(model, rho_init, params, times, dt) -> Trajectory:
     space = rho_init.space
     rates = block_rates(model, params.k_s)
-    rho = _resymmetrize(rho_init.matrix)
+    rho = 0.5 * (rho_init.matrix + rho_init.matrix.conj().T)
     ss_part = np.outer(space.singlet_diag, space.singlet_diag) * rho
     tt_part = space.triplet_mask * rho
     tau0 = float(tt_part.trace().real)
-    # the blocks as real (d, 2d) views, so that each part is scaled and
-    # divided in real arithmetic: complex division by a subnormal tau0
-    # overflows
+    # real (d, 2d) views, so that each block is scaled and divided in real
+    # arithmetic: complex division by a subnormal tau0 overflows
     blocks = [part.view(float) for part in (ss_part, rho - ss_part - tt_part, tt_part)]
     blocks[2] = blocks[2] / tau0 if tau0 != 0.0 else np.zeros_like(blocks[2])
-    x = (1.0, 1.0, tau0)
+    if method == "rk4-fixed":
+        advance = _rk4_advance(rates, dt)
+    else:
+        peaks = [float(np.abs(block.view(complex)).max()) for block in blocks]
+        advance = _rkf45_advance(rates, peaks, float(times[-1]) or 1.0, rel_tol, abs_tol)
+    x = (float(blocks[0].any()), float(blocks[1].any()), tau0)
     factors = [x]
     for i in range(1, times.size):
         t0, t1 = float(times[i - 1]), float(times[i])
         try:
-            x = _advance_blocks(rates, x, *_substeps(t0, t1, dt))
+            x = advance(x, t0, t1)
         except ModelSingular as exc:
             raise ModelSingular(f"at t in ({t0:.6g}, {t1:.6g}]: {exc}") from exc
         factors.append(x)
         if not all(map(math.isfinite, x)):
             break  # this snapshot fails validation below
     a_ss, a_st, tau = np.array(factors).T[:, :, None, None]
-    stack = (a_ss * blocks[0] + a_st * blocks[1] + tau * blocks[2]).view(complex)
+    # a non-finite factor makes 0 * inf entries; DensityMatrix rejects its snapshot
+    with np.errstate(invalid="ignore", over="ignore"):
+        stack = (a_ss * blocks[0] + a_st * blocks[1] + tau * blocks[2]).view(complex)
     stack[0] = rho_init.matrix
     states = [rho_init]
     for i in range(1, len(factors)):
@@ -282,26 +302,6 @@ def _integrate_fixed(model, rho_init, params, times, dt) -> Trajectory:
         except ValueError as exc:
             raise IntegrationError(f"invalid state at t = {times[i]:.6g}: {exc}") from exc
     return _gate(times, states, stack)
-
-
-def _integrate_adaptive(model, rho_init, params, times, rel_tol, abs_tol) -> Trajectory:
-    space = rho_init.space
-    f = rhs_function(model, space, params)
-    t_end = float(times[-1]) if times[-1] > 0 else 1.0
-    states = [rho_init]
-    m = rho_init.matrix
-    h = 0.1 * t_end
-    for i in range(1, times.size):
-        t0, t1 = float(times[i - 1]), float(times[i])
-        try:
-            m, h = _advance_adaptive(f, m, t0, t1, h, rel_tol, abs_tol, t_end)
-        except ModelSingular as exc:
-            raise ModelSingular(f"at t in ({t0:.6g}, {t1:.6g}]: {exc}") from exc
-        try:
-            states.append(DensityMatrix(space, m))
-        except ValueError as exc:
-            raise IntegrationError(f"invalid state at t = {t1:.6g}: {exc}") from exc
-    return _gate(times, states, np.array([state.matrix for state in states]))
 
 
 def _gate(times, states, stack) -> Trajectory:

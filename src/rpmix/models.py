@@ -13,12 +13,12 @@ two normalized flows act on the unit-trace surviving-pair state and are
 traceless.
 
 Each flow is written twice. :func:`rhs_function` returns a closure on
-one (d, d) matrix, which the adaptive stepper and the checks run. Every
-flow also multiplies each entry of the singlet-singlet (SS),
-singlet-triplet (ST) and triplet-triplet (TT) blocks by one real rate
-that depends only on tau = Tr{Q_T rho Q_T}; :func:`block_rates` returns
-those three rates as a function of tau, which the fixed-step stepper
-runs:
+one (d, d) matrix; it serves only the checks (mixture-identity compares
+the mixture's derivative against it) and the tests. Every flow also
+multiplies each entry of the singlet-singlet (SS), singlet-triplet (ST)
+and triplet-triplet (TT) blocks by one real rate that depends only on
+tau = Tr{Q_T rho Q_T}; :func:`block_rates` returns those three rates as
+a function of tau, which both steppers run:
 
 - jones-hore:         (-k_S, -k_S, 0)
 - haberkorn:          (-k_S, -k_S/2, 0)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -399,6 +400,29 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "normalized-kominis" in err
         assert "below floor" in err
+
+    def run_recording_warnings(self, tmp_path, text):
+        config = write_config(tmp_path, text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out"), "--quiet"])
+        return code, [str(w.message) for w in caught]
+
+    def test_zero_abs_tol_runs_a_diagonal_preset(self, tmp_path, capsys):
+        # abs_tol 0 is pure relative control; the preset's zero entries have zero error
+        text = (CONFIGS / "equal_mixture.yaml").read_text() + "integrator:\n  abs_tol: 0\n"
+        assert self.run_recording_warnings(tmp_path, text) == (0, [])
+        assert capsys.readouterr().err == ""
+
+    def test_diverged_fixed_step_run_prints_only_its_error(self, tmp_path, capsys):
+        # k_S dt = 10 is far outside RK4's stability region
+        text = MINIMAL.replace("[jones-hore]", "[normalized-jh]").replace("t_end: 10.0", "t_end: 50.0")
+        text = text.replace("n_snapshots: 101", "n_snapshots: 6") + "integrator:\n  method: rk4-fixed\n  dt: 10\n"
+        assert self.run_recording_warnings(tmp_path, text) == (3, [])
+        assert capsys.readouterr().err == (
+            "integration of normalized-jh failed: invalid state at t = 30: "
+            "density matrix contains non-finite entries\n"
+        )
 
     def test_seed_override_changes_state(self, tmp_path):
         config = write_config(tmp_path, FULL)

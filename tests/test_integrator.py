@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -212,8 +213,7 @@ class TestTrajectoryInvariants:
         assert runs[0] == runs[1]
 
 
-# The generator-sum Fehlberg step the stage-array step replaced, kept
-# literally as the reference the new step must reproduce bit for bit.
+# The generator-sum one-matrix Fehlberg step, kept literally for the reference loop below.
 _REF_A = (
     (),
     (1.0 / 4.0,),
@@ -234,6 +234,47 @@ def reference_rkf45_step(f, m, h):
     m4 = m + h * sum(b * ki for b, ki in zip(_REF_B4, k) if b != 0.0)
     m5 = m + h * sum(b * ki for b, ki in zip(_REF_B5, k) if b != 0.0)
     return m5, m5 - m4
+
+
+def reference_rkf45_states(model, rho, params, grid, rel_tol, abs_tol):
+    """The one-matrix Fehlberg loop and controller the block-factor loop replaced, kept literally.
+
+    Returns the (T, d, d) snapshot stack, or raises what integrate raises
+    when the loop meets a singular flow, a non-finite error estimate, a
+    step underflow or a non-finite state.
+    """
+    f = rhs_function(model, rho.space, params)
+    t_end = float(grid[-1]) if grid[-1] > 0 else 1.0
+    m = rho.matrix
+    states = [m]
+    h = 0.1 * t_end
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        t = t0
+        try:
+            while t < t1 - 1e-15 * max(1.0, t1):
+                h = min(h, t1 - t)
+                trial, err = reference_rkf45_step(f, m, h)
+                scale = abs_tol + rel_tol * np.maximum(np.abs(m), np.abs(trial))
+                err_ratio = float(np.max(np.abs(err) / scale))
+                if not math.isfinite(err_ratio):
+                    raise IntegrationError(f"non-finite error estimate at t = {t:.12g}")
+                if err_ratio <= 1.0:
+                    t += h
+                    m = 0.5 * (trial + trial.conj().T)
+                    factor = 5.0 if err_ratio == 0.0 else min(5.0, 0.9 * err_ratio ** -0.2)
+                else:
+                    factor = max(0.2, 0.9 * err_ratio ** -0.2)
+                    if h <= integrator.MIN_STEP:
+                        raise IntegrationError(
+                            f"step size underflow at t = {t:.12g} (error ratio {err_ratio:.3g})"
+                        )
+                h = min(max(h * factor, integrator.MIN_STEP), t_end)
+        except ModelSingular as exc:
+            raise ModelSingular(f"at t in ({t0:.6g}, {t1:.6g}]: {exc}") from exc
+        if not np.all(np.isfinite(m.view(float))):
+            raise IntegrationError(f"invalid state at t = {t1:.6g}: density matrix contains non-finite entries")
+        states.append(m)
+    return np.array(states)
 
 
 def reference_observe(states):
@@ -268,18 +309,7 @@ def step_states(space):
     return states + [diag, negative_zeros, coherent]
 
 
-class TestStageArrayStep:
-    @pytest.mark.parametrize("space", SPACES, ids=lambda sp: f"d{sp.dim}")
-    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
-    def test_matches_generator_sum_reference(self, model, space):
-        f = rhs_function(model, space, RateParams(k_s=1.7))
-        for m in step_states(space):
-            for h in (1e-4, 0.013, 0.37, 2.5):
-                new = integrator._rkf45_step(f, m, h)
-                ref = reference_rkf45_step(f, m, h)
-                assert_bit_equal(new[0], ref[0])
-                assert_bit_equal(new[1], ref[1])
-
+class TestSnapshotObservables:
     @pytest.mark.parametrize("space", SPACES, ids=lambda sp: f"d{sp.dim}")
     @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
     @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
@@ -297,25 +327,27 @@ class TestStageArrayStep:
 
 
 class TestSnapshotGate:
-    GRID = [0.0, 0.5, 1.0, 1.5, 2.0]
+    TIMES = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
 
-    def run_with_flow(self, monkeypatch, flow):
-        monkeypatch.setattr(integrator, "rhs_function", lambda model, space, params: lambda m: flow)
-        integrate(ModelKind.JONES_HORE, dm(SP2, np.diag([0.5, 0.5])), K1, self.GRID)
+    def gate(self, slope):
+        # the snapshots of rho(t) = diag(0.5, 0.5) + t * slope, a flow with a constant derivative
+        rho = dm(SP2, np.diag([0.5, 0.5]))
+        stack = np.array([rho.matrix + t * slope for t in self.TIMES])
+        integrator._gate(self.TIMES, [rho], stack)
 
-    def test_negative_population_names_first_snapshot(self, monkeypatch):
+    def test_negative_population_names_first_snapshot(self):
         # rho_00 = 0.5 - 0.6 t turns negative between t = 0.5 and t = 1
         with pytest.raises(IntegrationError, match=r"^positivity violated at t = 1: min eigenvalue -1\.000e-01$"):
-            self.run_with_flow(monkeypatch, np.diag([-0.6, 0.0]).astype(complex))
+            self.gate(np.diag([-0.6, 0.0]))
 
-    def test_trace_above_one_names_first_snapshot(self, monkeypatch):
+    def test_trace_above_one_names_first_snapshot(self):
         with pytest.raises(IntegrationError, match=r"^trace out of range at t = 0\.5: 1\.125$"):
-            self.run_with_flow(monkeypatch, np.diag([0.0, 0.25]).astype(complex))
+            self.gate(np.diag([0.0, 0.25]))
 
-    def test_positivity_reported_before_trace_at_one_snapshot(self, monkeypatch):
+    def test_positivity_reported_before_trace_at_one_snapshot(self):
         # at t = 1 both rho_00 = -0.5 and the trace 0 are out of range
         with pytest.raises(IntegrationError, match=r"^positivity violated at t = 1: min eigenvalue -5\.000e-01$"):
-            self.run_with_flow(monkeypatch, np.diag([-1.0, 0.0]).astype(complex))
+            self.gate(np.diag([-1.0, 0.0]))
 
 
 NJH, NK = ModelKind.NORMALIZED_JONES_HORE, ModelKind.NORMALIZED_KOMINIS
@@ -363,10 +395,8 @@ def reference_rk4_states(model, rho, params, grid, dt):
     return np.array(states)
 
 
-def assert_matches_matrix_loop(model, rho, params, grid, dt):
-    """integrate's fixed-step run is the matrix loop's within RK4_BOUND, or raises its error."""
-    got = outcome_of(lambda: integrate(model, rho, params, grid, method="rk4-fixed", dt=dt))
-    want = outcome_of(lambda: reference_rk4_states(model, rho, params, grid, dt))
+def assert_same_outcome(got, want, rho, grid, bound):
+    """got's snapshots are want's within bound per entry, or got is want's error."""
     if isinstance(want, Exception):
         assert type(got) is type(want) and str(got) == str(want)
         return
@@ -379,7 +409,14 @@ def assert_matches_matrix_loop(model, rho, params, grid, dt):
     assert not isinstance(got, Exception), got
     states = np.array([s.matrix for s in got.states])
     assert states.shape == want.shape
-    assert np.max(np.abs(states - want)) <= RK4_BOUND
+    assert np.max(np.abs(states - want)) <= bound
+
+
+def assert_matches_matrix_loop(model, rho, params, grid, dt):
+    """integrate's fixed-step run is the matrix loop's within RK4_BOUND, or raises its error."""
+    got = outcome_of(lambda: integrate(model, rho, params, grid, method="rk4-fixed", dt=dt))
+    want = outcome_of(lambda: reference_rk4_states(model, rho, params, grid, dt))
+    assert_same_outcome(got, want, rho, grid, RK4_BOUND)
 
 
 def block_state(space, kind, seed):
@@ -421,6 +458,20 @@ class TestBlockRK4:
             integrate(model, rho, K1, np.linspace(0.0, 50.0, 6), method="rk4-fixed", dt=10.0)
         assert_matches_matrix_loop(model, rho, K1, np.linspace(0.0, 50.0, 6), 10.0)
 
+    @pytest.mark.parametrize("model", [NJH, NK], ids=lambda m: m.value)
+    def test_unstable_step_warns_nothing(self, model):
+        # the diverged snapshot fails with the matrix loop's error, and no numpy warning escapes
+        grid = np.linspace(0.0, 50.0, 6)
+        rho = preset_state(SP2, "equal-mixture")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = outcome_of(lambda: reference_rk4_states(model, rho, K1, grid, 10.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome_of(lambda: integrate(model, rho, K1, grid, method="rk4-fixed", dt=10.0))
+        assert isinstance(want, Exception)
+        assert type(got) is type(want) and str(got) == str(want)
+
     @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
     def test_snapshots_exactly_hermitian_from_a_non_hermitian_start(self, model):
         m = random_density_matrix(SP4, 5).matrix.copy()
@@ -431,6 +482,14 @@ class TestBlockRK4:
         assert rho.hermiticity_error() > 0.0
         for state in traj.states[1:]:
             assert state.hermiticity_error() == 0.0
+
+    @pytest.mark.parametrize("k_s, k_t_end", [(0.08619186517694007, 16.004689422986072), (0.096, 16.0)])
+    def test_parted_step_sequences_stay_within_the_bound(self, k_s, k_t_end):
+        # the two loops' step sequences part ways early in these runs;
+        # they are the worst measured (1.85e-12 and 4.4e-12)
+        grid = np.linspace(0.0, k_t_end / k_s, 289)
+        rho = random_density_matrix(SP2, 3)
+        assert_matches_adaptive_loop(JH, rho, RateParams(k_s=k_s), grid, *TOLERANCES["default"])
 
     def test_singular_flow_raises_the_matrix_loop_error(self):
         # normalized-kominis is undefined from the pure singlet
@@ -499,7 +558,96 @@ class TestFixedPoints:
         # every snapshot is still its own validated DensityMatrix
         assert len({id(state) for state in traj.states}) == self.GRID.size
 
+    @pytest.mark.parametrize("method, dt", [("rk45-adaptive", None), ("rk4-fixed", 20.0)])
+    @pytest.mark.parametrize("space", SPACES, ids=lambda sp: f"d{sp.dim}")
+    @pytest.mark.parametrize("model, preset", FIXED_POINTS, ids=lambda v: getattr(v, "value", v))
+    def test_long_horizon_returns_bit_for_bit(self, model, preset, space, method, dt):
+        # k_S t = 20 per snapshot: a factor of an empty block stepped there
+        # would overflow long before t = 2000 and turn its zeros into NaN
+        rho = preset_state(space, preset)
+        traj = integrate(model, rho, K1, np.linspace(0.0, 2000.0, 101), method=method, dt=dt)
+        for state in traj.states:
+            assert_bit_equal(state.matrix, rho.matrix)
+
     @pytest.mark.parametrize("model", [NJH, NK, HAB, JH], ids=lambda m: m.value)
     def test_one_ulp_off_a_fixed_point_matches_the_matrix_loop(self, model):
         rho = dm(SP2, np.diag([np.nextafter(0.0, 1.0), 1.0]))
         assert_matches_matrix_loop(model, rho, RateParams(k_s=1.7), self.GRID, self.DT)
+
+
+# the largest entry deviation allowed between the block-factor Fehlberg
+# stepper and the literal matrix loop. The two choose the same steps only
+# up to rounding, and rounding can decide whether a step reaches a
+# snapshot or stops just short of it; from there the step sequences part
+# ways, and the two runs differ by a share of their own integration error
+# rather than by rounding. The worst measured over
+# test_matches_the_matrix_loop is 6.6e-13 at the default tolerances and
+# 2.2e-16 at the loose ones; the worst measured anywhere is 4.4e-12, in
+# the jones-hore run of test_parted_step_sequences_stay_within_the_bound,
+# whose snapshots are 5.1e-11 from the exact solution.
+RKF45_BOUND = 1e-11
+TOLERANCES = {"default": (integrator.DEFAULT_REL_TOL, integrator.DEFAULT_ABS_TOL), "loose": (1e-6, 1e-9)}
+
+
+def assert_matches_adaptive_loop(model, rho, params, grid, rel_tol, abs_tol, loop_abs_tol=None):
+    """integrate's adaptive run is the matrix loop's within RKF45_BOUND, or raises its error.
+
+    loop_abs_tol, when given, replaces abs_tol in the matrix loop only.
+    """
+    loop_abs_tol = abs_tol if loop_abs_tol is None else loop_abs_tol
+    got = outcome_of(lambda: integrate(model, rho, params, grid, rel_tol=rel_tol, abs_tol=abs_tol))
+    want = outcome_of(lambda: reference_rkf45_states(model, rho, params, grid, rel_tol, loop_abs_tol))
+    assert_same_outcome(got, want, rho, grid, RKF45_BOUND)
+
+
+class TestBlockRKF45:
+    GRID = np.linspace(0.0, 8.0, 41)
+
+    @pytest.mark.parametrize("tol", TOLERANCES)
+    @pytest.mark.parametrize("space", SPACES, ids=lambda sp: f"d{sp.dim}")
+    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
+    def test_matches_the_matrix_loop(self, model, space, tol):
+        k_s = 1.7
+        for m in step_states(space):
+            rho = DensityMatrix(space, m)
+            assert_matches_adaptive_loop(model, rho, RateParams(k_s=k_s), self.GRID / k_s, *TOLERANCES[tol])
+
+    @pytest.mark.parametrize("k_s, k_t_end", [(0.08619186517694007, 16.004689422986072), (0.096, 16.0)])
+    def test_parted_step_sequences_stay_within_the_bound(self, k_s, k_t_end):
+        # the two loops' step sequences part ways early in these runs;
+        # they are the worst measured (1.85e-12 and 4.4e-12)
+        grid = np.linspace(0.0, k_t_end / k_s, 289)
+        rho = random_density_matrix(SP2, 3)
+        assert_matches_adaptive_loop(JH, rho, RateParams(k_s=k_s), grid, *TOLERANCES["default"])
+
+    def test_singular_flow_raises_the_matrix_loop_error(self):
+        # normalized-kominis is undefined from the pure singlet
+        rho = preset_state(SP4, "pure-singlet")
+        assert_matches_adaptive_loop(NK, rho, K1, self.GRID, *TOLERANCES["default"])
+
+    @pytest.mark.parametrize("model, error", [
+        (JH, "step size underflow"), (HAB, "step size underflow"),
+        (NJH, "non-finite error estimate"), (NK, "normalized-kominis flow undefined"),
+    ], ids=lambda v: getattr(v, "value", None))
+    def test_stiff_run_fails_as_the_matrix_loop_does(self, model, error):
+        # at k_S = 1e13 even the smallest step, 1e-12, is far outside the stability region
+        rho = preset_state(SP2, "equal-mixture")
+        params, grid = RateParams(k_s=1e13), [0.0, 1.0, 2.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = outcome_of(lambda: reference_rkf45_states(model, rho, params, grid, *TOLERANCES["default"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome_of(lambda: integrate(model, rho, params, grid))
+        assert isinstance(want, Exception) and error in str(want)
+        assert type(got) is type(want) and str(got) == str(want)
+
+    @pytest.mark.parametrize("preset", ["equal-mixture", "pure-triplet", "pure-singlet"])
+    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
+    def test_zero_abs_tol_is_pure_relative_control(self, model, preset):
+        # the matrix loop divides 0 by 0 at every zero entry when abs_tol is 0;
+        # an abs_tol far below every nonzero scale stands in for it there
+        rho = preset_state(SP4, preset)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_matches_adaptive_loop(model, rho, K1, self.GRID, 1e-9, 0.0, loop_abs_tol=1e-300)
