@@ -387,12 +387,11 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     obs = traj.observables
-    states = np.array([state.matrix for state in traj.states])
     header = ["t", "trace", "p_singlet", "p_triplet"]
     columns = [traj.times, obs.trace, obs.p_singlet, obs.p_triplet]
-    for i, j in zip(*np.triu_indices(states.shape[-1])):  # row-major upper triangle
+    for i, j in zip(*np.triu_indices(traj.stack.shape[-1])):  # row-major upper triangle
         header += [f"re_{i}_{j}", f"im_{i}_{j}"]
-        columns += [states[:, i, j].real, states[:, i, j].imag]
+        columns += [traj.stack[:, i, j].real, traj.stack[:, i, j].imag]
     _write_csv(path, header, columns)
 
 
@@ -441,10 +440,9 @@ def cmd_run(config: ScenarioConfig, out_dir: Path, args) -> int:
         _say(args.quiet, f"wrote {csv_path}")
 
     code = _integrate_models(config, write)
-    if code != 0:
-        return code
-    _echo_config(config, out_dir)
-    return 0
+    if code == 0:
+        _echo_config(config, out_dir)
+    return code
 
 
 def cmd_verify(config: ScenarioConfig, out_dir: Path, args) -> int:
@@ -475,23 +473,14 @@ def cmd_verify(config: ScenarioConfig, out_dir: Path, args) -> int:
             [curve.times, curve.p_singlet_corrected, curve.p_singlet_kominis, curve.delta],
         )
 
-    document = {
-        "reports": [report.to_dict(divergence_ref)],
-        "all_passed": report.all_passed,
-    }
+    document = {"reports": [report.to_dict(divergence_ref)], "all_passed": report.all_passed}
     report_path.write_text(json.dumps(document, indent=2) + "\n")
     _echo_config(config, out_dir)
 
     for check in report.checks:
-        status = "PASS" if check.passed else "FAIL"
-        if check.error is not None:
-            _say(args.quiet, f"{status} {check.name}: error: {check.error}")
-        else:
-            _say(
-                args.quiet,
-                f"{status} {check.name}: max deviation {check.max_deviation:.3e} "
-                f"(tolerance {check.tolerance:.1e})",
-            )
+        outcome = (f"error: {check.error}" if check.error is not None
+                   else f"max deviation {check.max_deviation:.3e} (tolerance {check.tolerance:.1e})")
+        _say(args.quiet, f"{'PASS' if check.passed else 'FAIL'} {check.name}: {outcome}")
     _say(args.quiet, f"wrote {report_path}")
     return 0 if report.all_passed else 1
 

@@ -25,9 +25,11 @@ Hermitian. An empty block's factor starts at exactly 0, and da/dt = c a
 keeps it there however unstable the step, so at an exact fixed point,
 where every rate acting on a nonzero block is exactly zero, they are the
 initial state bit for bit.
-They are stacked into one (T, d, d) array once the run ends; the
+They are stacked into one read-only (T, d, d) array once the run ends,
+and that stack is what a Trajectory holds: the finiteness check, the
 observables and the positivity and trace gate each take one pass over
-that stack, and all of them round exactly as a per-snapshot loop would.
+it, all of them rounding exactly as a per-snapshot loop would, and
+DensityMatrix snapshots are built only when Trajectory.states is read.
 Positivity is monitored at each snapshot but never projected: a
 violation beyond the fail tolerance aborts the run, naming the first
 offending snapshot, because hiding it would mask exactly the model
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,11 +83,21 @@ class ObservableSeries:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of one integration, aligned with a strictly increasing grid."""
+    """Snapshots of one integration, aligned with a strictly increasing grid.
+
+    stack holds them as one read-only complex (T, d, d) array; states wraps its
+    rows as DensityMatrix objects on first access, states[0] being initial itself.
+    """
 
     times: np.ndarray
-    states: tuple[DensityMatrix, ...]
+    stack: np.ndarray
     observables: ObservableSeries
+    initial: DensityMatrix
+
+    @cached_property
+    def states(self) -> tuple[DensityMatrix, ...]:
+        space = self.initial.space
+        return (self.initial, *(DensityMatrix(space, m) for m in self.stack[1:]))
 
 
 # Fehlberg 4(5) tableau: _A<i> weights stages 1..i-1 in stage i (_A2 = 1/4 is
@@ -97,10 +110,10 @@ _B4 = (25.0 / 216.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0)
 _B5 = (16.0 / 135.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
 
 
-def _fehlberg_blocks(rates, x, h: float):
-    """One unrolled Fehlberg trial step of the block factors: (5th-order factors, error estimate)."""
+def _fehlberg_blocks(rates, r1, x, h: float):
+    """One unrolled Fehlberg trial step from x, whose rates are r1: (5th-order factors, error estimate)."""
     s, c, tau = x
-    r_s, r_c, r_t = rates(tau)
+    r_s, r_c, r_t = r1
     k1s, k1c, k1t = r_s * s, r_c * c, r_t * tau
     y_s, y_c, y_t = s + h * (0.25 * k1s), c + h * (0.25 * k1c), tau + h * (0.25 * k1t)
     r_s, r_c, r_t = rates(y_t)
@@ -175,7 +188,9 @@ def _rk4_advance(rates, dt: float):
 def _rkf45_advance(rates, peaks, t_end: float, rel_tol: float, abs_tol: float):
     """The error-controlled advance of the block factors over one snapshot interval.
 
-    peaks holds M_X = max |B_ij| of each block; the step size carries over between intervals.
+    peaks holds M_X = max |B_ij| of each block; h carries over between intervals.
+    A singular trial stage rejects the step, raising only at MIN_STEP; a
+    singular accepted state raises at once.
     """
     h = 0.1 * t_end
 
@@ -184,12 +199,25 @@ def _rkf45_advance(rates, peaks, t_end: float, rel_tol: float, abs_tol: float):
         t = t0
         while t < t1 - 1e-15 * max(1.0, t1):
             h = min(h, t1 - t)
-            trial, err = _fehlberg_blocks(rates, x, h)
+            r1 = rates(x[2])
+            try:
+                trial, err = _fehlberg_blocks(rates, r1, x, h)
+            except ModelSingular:
+                if h <= MIN_STEP:
+                    raise
+                h = max(0.2 * h, MIN_STEP)
+                continue
             err_ratio = 0.0
             for e, a, b, peak in zip(err, x, trial, peaks):
                 if e:  # a zero error counts as ratio 0; so does an empty block, whose factor stays 0
                     scale = abs_tol + rel_tol * max(abs(a), abs(b)) * peak
-                    ratio = abs(e) * peak / scale if scale else math.inf
+                    if not scale:
+                        raise IntegrationError(
+                            f"non-finite error estimate at t = {t:.12g}: the error scale"
+                            f" abs_tol + rel_tol*|factor| underflowed to 0 with abs_tol = {abs_tol:g};"
+                            " a positive abs_tol avoids this"
+                        )
+                    ratio = abs(e) * peak / scale
                     if not math.isfinite(ratio):
                         raise IntegrationError(f"non-finite error estimate at t = {t:.12g}")
                     err_ratio = max(err_ratio, ratio)
@@ -289,22 +317,22 @@ def integrate(
             raise ModelSingular(f"at t in ({t0:.6g}, {t1:.6g}]: {exc}") from exc
         factors.append(x)
         if not all(map(math.isfinite, x)):
-            break  # this snapshot fails validation below
+            break  # this snapshot fails the finiteness check below
     a_ss, a_st, tau = np.array(factors).T[:, :, None, None]
-    # a non-finite factor makes 0 * inf entries; DensityMatrix rejects its snapshot
+    # a non-finite factor makes 0 * inf entries; the finiteness check rejects its snapshot
     with np.errstate(invalid="ignore", over="ignore"):
         stack = (a_ss * blocks[0] + a_st * blocks[1] + tau * blocks[2]).view(complex)
     stack[0] = rho_init.matrix
-    states = [rho_init]
-    for i in range(1, len(factors)):
-        try:
-            states.append(DensityMatrix(space, stack[i]))
-        except ValueError as exc:
-            raise IntegrationError(f"invalid state at t = {times[i]:.6g}: {exc}") from exc
-    return _gate(times, states, stack)
+    finite = np.isfinite(stack.view(float)).all(axis=(1, 2))
+    if not finite.all():
+        raise IntegrationError(
+            f"invalid state at t = {times[finite.argmin()]:.6g}: density matrix contains non-finite entries"
+        )
+    stack.setflags(write=False)
+    return Trajectory(times=times, stack=stack, observables=_gate(times, space, stack), initial=rho_init)
 
 
-def _gate(times, states, stack) -> Trajectory:
+def _gate(times, space, stack) -> ObservableSeries:
     """Observables and the positivity/trace gate of a (T, d, d) snapshot stack.
 
     Raises the IntegrationError naming the first offending snapshot,
@@ -315,7 +343,6 @@ def _gate(times, states, stack) -> Trajectory:
     d >= 4. The gate reads np.trace, which equals DensityMatrix.trace bit
     for bit, where the diagonal sum does not.
     """
-    space = states[0].space
     diag = np.diagonal(stack, axis1=1, axis2=2).real
     trace = np.trace(stack, axis1=1, axis2=2).real
     min_eigenvalue = np.linalg.eigvalsh(stack)[:, 0]
@@ -328,13 +355,12 @@ def _gate(times, states, stack) -> Trajectory:
                 f"positivity violated at t = {times[i]:.6g}: min eigenvalue {min_eigenvalue[i]:.3e}"
             )
         raise IntegrationError(f"trace out of range at t = {times[i]:.6g}: {trace[i]:.12g}")
-    series = ObservableSeries(
+    return ObservableSeries(
         trace=diag.sum(axis=1),
         p_singlet=np.array([row @ space.singlet_diag for row in diag]),
         p_triplet=np.array([row @ space.triplet_diag for row in diag]),
         min_eigenvalue=min_eigenvalue,
     )
-    return Trajectory(times=times, states=tuple(states), observables=series)
 
 
 def analytic_jones_hore(rho_init: DensityMatrix, params: RateParams, t: float) -> DensityMatrix:

@@ -202,7 +202,7 @@ def check_route_equivalence(
     params = RateParams(k_s=k_s)
     deviations = [
         frobenius_distance(normalize(analytic_jones_hore(rho_init, params, t)), state)
-        for t, state in zip(traj.times, traj.states)
+        for t, state in zip(traj.times, traj.stack)
     ]
     tol = _tolerance(k_s, dt)
     worst, t_at = _max_over_grid(traj.times, deviations)
@@ -229,7 +229,7 @@ def check_mixture_identity(
     mix = mixture_from_initial(rho_init)
     state_devs = []
     rhs_devs = []
-    for t, state in zip(traj.times, traj.states):
+    for t, state in zip(traj.times, traj.stack):
         w = weights_at(t, mix, k_s, scheme)
         recon = reconstruct(w, mix)
         state_devs.append(frobenius_distance(recon, state))
@@ -278,17 +278,14 @@ def check_kominis_discrepancy(
     if not np.array_equal(alt_traj.times, traj.times):
         raise ValueError("the alternative-flow trajectory must share route B's grid")
 
-    p_corr = np.empty(traj.times.size)
-    p_dis = np.empty(traj.times.size)
-    frob_devs = np.empty(traj.times.size)
-    alt_devs = np.empty(traj.times.size)
-    for i, (t, state) in enumerate(zip(traj.times, traj.states)):
+    p_corr, p_dis, frob_devs, alt_devs = np.empty((4, traj.times.size))
+    for i, (t, state) in enumerate(zip(traj.times, traj.stack)):
         disputed = reconstruct(weights_at(t, mix, k_s, "kominis"), mix)
         corrected = reconstruct(weights_at(t, mix, k_s, "corrected"), mix)
         p_corr[i] = singlet_probability(corrected)
         p_dis[i] = singlet_probability(disputed)
         frob_devs[i] = frobenius_distance(disputed, state)
-        alt_devs[i] = frobenius_distance(disputed, alt_traj.states[i])
+        alt_devs[i] = frobenius_distance(disputed, alt_traj.stack[i])
 
     tol = _tolerance(k_s, dt)
     curve = DivergenceCurve(traj.times, p_corr, p_dis)
@@ -366,7 +363,7 @@ def check_kominis_singularity(
     except ModelSingular as exc:
         raised = True
         message = str(exc)
-    drift = max(frobenius_distance(state, rho_init) for state in traj.states)
+    drift = max(frobenius_distance(state, rho_init) for state in traj.stack)
     tol = _tolerance(k_s, dt)
     return CheckRecord(
         "kominis-singularity",
@@ -380,30 +377,16 @@ def check_kominis_singularity(
 
 def default_battery() -> list[Scenario]:
     """Built-in scenario set: two-level mixtures, superpositions, random states."""
-    sp2 = two_level_space()
-    sp4 = electron_pair_space()
-    scenarios = []
-    for p_t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        rho = DensityMatrix(sp2, np.diag([1.0 - p_t, p_t]).astype(complex))
-        scenarios.append(Scenario(label=f"two-level-mixed-pT-{p_t:.2f}", rho_init=rho))
-    scenarios.append(
-        Scenario(label="two-level-superposition-equal", rho_init=preset_state(sp2, "st-superposition"))
-    )
-    psi = np.array([np.sqrt(0.25), np.sqrt(0.75)], dtype=complex)
-    scenarios.append(
-        Scenario(
-            label="two-level-superposition-skew",
-            rho_init=DensityMatrix(sp2, np.outer(psi, psi.conj())),
-        )
-    )
-    for seed in (1, 2, 3):
-        scenarios.append(
-            Scenario(
-                label=f"four-level-random-seed-{seed}",
-                rho_init=random_density_matrix(sp4, seed),
-            )
-        )
-    return scenarios
+    sp2, sp4 = two_level_space(), electron_pair_space()
+    skew = np.array([np.sqrt(0.25), np.sqrt(0.75)], dtype=complex)
+    states = [
+        *((f"two-level-mixed-pT-{p_t:.2f}", DensityMatrix(sp2, np.diag([1.0 - p_t, p_t]).astype(complex)))
+          for p_t in (0.0, 0.25, 0.5, 0.75, 1.0)),
+        ("two-level-superposition-equal", preset_state(sp2, "st-superposition")),
+        ("two-level-superposition-skew", DensityMatrix(sp2, np.outer(skew, skew.conj()))),
+        *((f"four-level-random-seed-{seed}", random_density_matrix(sp4, seed)) for seed in (1, 2, 3)),
+    ]
+    return [Scenario(label=label, rho_init=rho) for label, rho in states]
 
 
 def run_scenario(scenario: Scenario, scheme: str = "corrected") -> ConsistencyReport:

@@ -424,6 +424,24 @@ class TestRunCommand:
             "density matrix contains non-finite entries\n"
         )
 
+    def test_singular_trial_stage_does_not_end_an_adaptive_run(self, tmp_path, capsys):
+        # the first adaptive step, h = 10, overshoots in a trial stage and is rejected
+        text = MINIMAL.replace("[jones-hore]", "[normalized-kominis]").replace("t_end: 10.0", "t_end: 100.0")
+        text = text.replace("n_snapshots: 101", "n_snapshots: 2")
+        assert self.run_recording_warnings(tmp_path, text) == (0, [])
+        assert capsys.readouterr().err == ""
+        last = (tmp_path / "out" / "trajectory_normalized-kominis.csv").read_text().splitlines()[-1].split(",")
+        assert float(last[2]) == pytest.approx(0.0, abs=1e-9)  # p_singlet at k_S t = 100
+
+    def test_zero_abs_tol_underflow_exits_3_naming_its_cause(self, tmp_path, capsys):
+        text = MINIMAL.replace("t_end: 10.0", "t_end: 760.0") + "integrator:\n  abs_tol: 0\n"
+        assert self.run_recording_warnings(tmp_path, text) == (3, [])
+        assert capsys.readouterr().err == (
+            "integration of jones-hore failed: non-finite error estimate at t = 723.346692565:"
+            " the error scale abs_tol + rel_tol*|factor| underflowed to 0 with abs_tol = 0;"
+            " a positive abs_tol avoids this\n"
+        )
+
     def test_seed_override_changes_state(self, tmp_path):
         config = write_config(tmp_path, FULL)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -226,8 +226,9 @@ _REF_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
 _REF_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
 
 
-def reference_rkf45_step(f, m, h):
-    k = [f(m)]
+def reference_rkf45_step(f, m, h, k1):
+    """One trial step from m, whose first stage k1 = f(m) is given."""
+    k = [k1]
     for row in _REF_A[1:]:
         stage = m + h * sum(a * ki for a, ki in zip(row, k))
         k.append(f(stage))
@@ -241,7 +242,9 @@ def reference_rkf45_states(model, rho, params, grid, rel_tol, abs_tol):
 
     Returns the (T, d, d) snapshot stack, or raises what integrate raises
     when the loop meets a singular flow, a non-finite error estimate, a
-    step underflow or a non-finite state.
+    step underflow or a non-finite state. A singular trial stage rejects
+    the step with the 0.2 shrink floor and raises only at MIN_STEP; a
+    singular accepted state raises at once.
     """
     f = rhs_function(model, rho.space, params)
     t_end = float(grid[-1]) if grid[-1] > 0 else 1.0
@@ -253,7 +256,14 @@ def reference_rkf45_states(model, rho, params, grid, rel_tol, abs_tol):
         try:
             while t < t1 - 1e-15 * max(1.0, t1):
                 h = min(h, t1 - t)
-                trial, err = reference_rkf45_step(f, m, h)
+                k1 = f(m)
+                try:
+                    trial, err = reference_rkf45_step(f, m, h, k1)
+                except ModelSingular:
+                    if h <= integrator.MIN_STEP:
+                        raise
+                    h = max(0.2 * h, integrator.MIN_STEP)
+                    continue
                 scale = abs_tol + rel_tol * np.maximum(np.abs(m), np.abs(trial))
                 err_ratio = float(np.max(np.abs(err) / scale))
                 if not math.isfinite(err_ratio):
@@ -326,6 +336,60 @@ class TestSnapshotObservables:
             assert_bit_equal(np.trace(stack, axis1=1, axis2=2).real, [s.trace for s in traj.states])
 
 
+NJH, NK = ModelKind.NORMALIZED_JONES_HORE, ModelKind.NORMALIZED_KOMINIS
+JH, HAB = ModelKind.JONES_HORE, ModelKind.HABERKORN
+
+
+class TestTrajectoryStack:
+    GRID = np.linspace(0.0, 8.0, 41)
+
+    def test_stack_is_read_only(self):
+        traj = integrate(ModelKind.HABERKORN, random_density_matrix(SP4, 9), K1, self.GRID)
+        assert not traj.stack.flags.writeable
+        with pytest.raises(ValueError):
+            traj.stack[1, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
+    @pytest.mark.parametrize("space", SPACES, ids=lambda sp: f"d{sp.dim}")
+    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
+    def test_states_are_the_stack_bit_for_bit(self, model, space, method):
+        k_s = 1.7
+        for m in step_states(space):
+            rho = DensityMatrix(space, m)
+            traj = integrate(model, rho, RateParams(k_s=k_s), self.GRID / k_s, method=method, dt=0.01 / k_s)
+            assert traj.stack.shape == (self.GRID.size, space.dim, space.dim)
+            assert traj.states[0] is rho
+            assert len(traj.states) == self.GRID.size
+            # the snapshot list a Trajectory used to hold, signed zeros included
+            assert_bit_equal(traj.stack, np.array([s.matrix for s in traj.states]))
+            for state, row in zip(traj.states, traj.stack):
+                assert state.space is space
+                assert_bit_equal(state.matrix, row)
+
+    def test_integrate_builds_no_density_matrix(self, monkeypatch):
+        rho = random_density_matrix(SP4, 3)
+        built = []
+        post_init = DensityMatrix.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counting_post_init)
+        for method in integrator.METHODS:
+            traj = integrate(NJH, rho, K1, self.GRID, method=method)
+        assert built == []
+        traj.states
+        assert len(built) == self.GRID.size - 1
+
+    def test_diverged_run_names_its_first_non_finite_snapshot(self):
+        # k_S dt = 10 is far outside RK4's stability region; t = 30 is the first snapshot to overflow
+        rho, grid = preset_state(SP2, "equal-mixture"), np.linspace(0.0, 50.0, 6)
+        message = r"^invalid state at t = 30: density matrix contains non-finite entries$"
+        with pytest.raises(IntegrationError, match=message):
+            integrate(NJH, rho, K1, grid, method="rk4-fixed", dt=10.0)
+
+
 class TestSnapshotGate:
     TIMES = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
 
@@ -333,7 +397,7 @@ class TestSnapshotGate:
         # the snapshots of rho(t) = diag(0.5, 0.5) + t * slope, a flow with a constant derivative
         rho = dm(SP2, np.diag([0.5, 0.5]))
         stack = np.array([rho.matrix + t * slope for t in self.TIMES])
-        integrator._gate(self.TIMES, [rho], stack)
+        integrator._gate(self.TIMES, SP2, stack)
 
     def test_negative_population_names_first_snapshot(self):
         # rho_00 = 0.5 - 0.6 t turns negative between t = 0.5 and t = 1
@@ -348,10 +412,6 @@ class TestSnapshotGate:
         # at t = 1 both rho_00 = -0.5 and the trace 0 are out of range
         with pytest.raises(IntegrationError, match=r"^positivity violated at t = 1: min eigenvalue -5\.000e-01$"):
             self.gate(np.diag([-1.0, 0.0]))
-
-
-NJH, NK = ModelKind.NORMALIZED_JONES_HORE, ModelKind.NORMALIZED_KOMINIS
-JH, HAB = ModelKind.JONES_HORE, ModelKind.HABERKORN
 
 
 def outcome_of(fn):
@@ -403,13 +463,12 @@ def assert_same_outcome(got, want, rho, grid, bound):
     if isinstance(got, IntegrationError) and not str(got).startswith("invalid state"):
         # the snapshot gate rejected a state; it must reject the loop's at the same snapshot
         with pytest.raises(IntegrationError) as gate:
-            integrator._gate(np.asarray(grid, float), [rho] + [DensityMatrix(rho.space, m) for m in want[1:]], want)
+            integrator._gate(np.asarray(grid, float), rho.space, want)
         assert str(gate.value).split(":")[0] == str(got).split(":")[0]
         return
     assert not isinstance(got, Exception), got
-    states = np.array([s.matrix for s in got.states])
-    assert states.shape == want.shape
-    assert np.max(np.abs(states - want)) <= bound
+    assert got.stack.shape == want.shape
+    assert np.max(np.abs(got.stack - want)) <= bound
 
 
 def assert_matches_matrix_loop(model, rho, params, grid, dt):
@@ -624,6 +683,41 @@ class TestBlockRKF45:
         # normalized-kominis is undefined from the pure singlet
         rho = preset_state(SP4, "pure-singlet")
         assert_matches_adaptive_loop(NK, rho, K1, self.GRID, *TOLERANCES["default"])
+
+    @pytest.mark.parametrize("n_snapshots", [2, 3, 101])
+    @pytest.mark.parametrize("space", [SP2, SP4], ids=lambda sp: f"d{sp.dim}")
+    def test_singular_trial_stage_rejects_the_step(self, space, n_snapshots):
+        # the first step, h = 10, overshoots tau below 0 in a trial stage;
+        # along the solution tau = e^{-t} tau_0 + (1 - e^{-t}) stays in [tau_0, 1]
+        rho = preset_state(space, "equal-mixture")
+        grid = np.linspace(0.0, 100.0, n_snapshots)
+        traj = integrate(NK, rho, K1, grid)
+        rho_t = space.triplet_mask * rho.matrix / traj.observables.p_triplet[0]
+        decay = np.exp(-grid)[:, None, None]
+        assert np.max(np.abs(traj.stack - (decay * rho.matrix + (1.0 - decay) * rho_t))) < 1e-8
+        assert_matches_adaptive_loop(NK, rho, K1, grid, *TOLERANCES["default"])
+
+    def test_singular_accepted_state_raises_at_once(self):
+        # from the pure singlet the first stage is already singular; no step is tried
+        with pytest.raises(ModelSingular) as exc:
+            integrate(NK, preset_state(SP2, "pure-singlet"), K1, [0.0, 100.0])
+        assert str(exc.value) == (
+            "at t in (0, 100]: triplet population 0.000e+00 below floor 1.0e-12; normalized-kominis flow undefined"
+        )
+
+    @pytest.mark.parametrize(
+        "model, t_stop", [(JH, "723.346692565"), (NJH, "724.034217157")], ids=lambda v: getattr(v, "value", None)
+    )
+    def test_zero_abs_tol_underflow_names_its_cause(self, model, t_stop):
+        # rel_tol times the singlet factor underflows to 0 near k_S t = 723 under pure relative control
+        rho, grid = preset_state(SP2, "equal-mixture"), np.linspace(0.0, 760.0, 101)
+        with pytest.raises(IntegrationError) as exc:
+            integrate(model, rho, K1, grid, abs_tol=0.0)
+        assert str(exc.value) == (
+            f"non-finite error estimate at t = {t_stop}: the error scale abs_tol + rel_tol*|factor|"
+            " underflowed to 0 with abs_tol = 0; a positive abs_tol avoids this"
+        )
+        integrate(model, rho, K1, grid)  # the default abs_tol runs to the end
 
     @pytest.mark.parametrize("model, error", [
         (JH, "step size underflow"), (HAB, "step size underflow"),
