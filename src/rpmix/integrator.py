@@ -25,11 +25,12 @@ Hermitian. An empty block's factor starts at exactly 0, and da/dt = c a
 keeps it there however unstable the step, so at an exact fixed point,
 where every rate acting on a nonzero block is exactly zero, they are the
 initial state bit for bit.
-They are stacked into one read-only (T, d, d) array once the run ends,
-and that stack is what a Trajectory holds: the finiteness check, the
-observables and the positivity and trace gate each take one pass over
-it, all of them rounding exactly as a per-snapshot loop would, and
-DensityMatrix snapshots are built only when Trajectory.states is read.
+A Trajectory holds the factors as one read-only (T, 3) array, on the
+blocks of :func:`split_blocks`, and the snapshots stacked into one
+read-only (T, d, d) array: the finiteness check, the observables and
+the positivity and trace gate each take one pass over the stack, all of
+them rounding exactly as a per-snapshot loop would, and DensityMatrix
+snapshots are built only when Trajectory.states is read.
 Positivity is monitored at each snapshot but never projected: a
 violation beyond the fail tolerance aborts the run, naming the first
 offending snapshot, because hiding it would mask exactly the model
@@ -71,7 +72,7 @@ class IntegrationError(Exception):
     """Raised when a run cannot be completed (step underflow, invalid state)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservableSeries:
     """Per-snapshot scalar observables, aligned with Trajectory.times."""
 
@@ -81,15 +82,18 @@ class ObservableSeries:
     min_eigenvalue: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Snapshots of one integration, aligned with a strictly increasing grid.
 
-    stack holds them as one read-only complex (T, d, d) array; states wraps its
+    factors holds the block factors (a_SS, a_ST, tau) of every snapshot as one
+    read-only (T, 3) array, on the blocks of :func:`split_blocks`; stack holds
+    the snapshots as one read-only complex (T, d, d) array; states wraps its
     rows as DensityMatrix objects on first access, states[0] being initial itself.
     """
 
     times: np.ndarray
+    factors: np.ndarray
     stack: np.ndarray
     observables: ObservableSeries
     initial: DensityMatrix
@@ -292,16 +296,8 @@ def integrate(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; valid methods: {', '.join(METHODS)}")
     times, dt = _prepare(model, rho_init, params, grid, dt)
-    space = rho_init.space
     rates = block_rates(model, params.k_s)
-    rho = 0.5 * (rho_init.matrix + rho_init.matrix.conj().T)
-    ss_part = np.outer(space.singlet_diag, space.singlet_diag) * rho
-    tt_part = space.triplet_mask * rho
-    tau0 = float(tt_part.trace().real)
-    # real (d, 2d) views, so that each block is scaled and divided in real
-    # arithmetic: complex division by a subnormal tau0 overflows
-    blocks = [part.view(float) for part in (ss_part, rho - ss_part - tt_part, tt_part)]
-    blocks[2] = blocks[2] / tau0 if tau0 != 0.0 else np.zeros_like(blocks[2])
+    blocks, _, tau0 = split_blocks(rho_init)
     if method == "rk4-fixed":
         advance = _rk4_advance(rates, dt)
     else:
@@ -318,7 +314,8 @@ def integrate(
         factors.append(x)
         if not all(map(math.isfinite, x)):
             break  # this snapshot fails the finiteness check below
-    a_ss, a_st, tau = np.array(factors).T[:, :, None, None]
+    factors = np.array(factors)
+    a_ss, a_st, tau = factors.T[:, :, None, None]
     # a non-finite factor makes 0 * inf entries; the finiteness check rejects its snapshot
     with np.errstate(invalid="ignore", over="ignore"):
         stack = (a_ss * blocks[0] + a_st * blocks[1] + tau * blocks[2]).view(complex)
@@ -328,8 +325,28 @@ def integrate(
         raise IntegrationError(
             f"invalid state at t = {times[finite.argmin()]:.6g}: density matrix contains non-finite entries"
         )
+    factors.setflags(write=False)
     stack.setflags(write=False)
-    return Trajectory(times=times, stack=stack, observables=_gate(times, space, stack), initial=rho_init)
+    observables = _gate(times, rho_init.space, stack)
+    return Trajectory(times=times, factors=factors, stack=stack, observables=observables, initial=rho_init)
+
+
+def split_blocks(rho_init: DensityMatrix) -> tuple[list[np.ndarray], float, float]:
+    """Split the re-symmetrized initial state into blocks: (blocks, p_S, tau_0).
+
+    blocks are real (d, 2d) views of SS, ST and TT / tau_0 (zero at tau_0 = 0),
+    so that block factors (a_SS, a_ST, tau) make a_SS SS + a_ST ST + tau TT / tau_0;
+    p_S and tau_0 are the traces of SS and TT. The real views keep scaling and
+    division in real arithmetic: complex division by a subnormal tau_0 overflows.
+    """
+    space = rho_init.space
+    rho = 0.5 * (rho_init.matrix + rho_init.matrix.conj().T)
+    ss_part = np.outer(space.singlet_diag, space.singlet_diag) * rho
+    tt_part = space.triplet_mask * rho
+    tau0 = float(tt_part.trace().real)
+    blocks = [part.view(float) for part in (ss_part, rho - ss_part - tt_part, tt_part)]
+    blocks[2] = blocks[2] / tau0 if tau0 != 0.0 else np.zeros_like(blocks[2])
+    return blocks, float(ss_part.trace().real), tau0
 
 
 def _gate(times, space, stack) -> ObservableSeries:

@@ -119,56 +119,52 @@ def fraction_rates(f_0: float, p_t: float, k_s: float) -> tuple[float, float]:
 def kinetic_fractions(t, p_t: float, k_s: float):
     """Closed-form survival fractions f_0 = e^{-k_S t}, f_T = p_T (1 - e^{-k_S t}).
 
-    Accepts a scalar time or an array of times; raises on negative t.
+    Accepts a time or an array of times; raises on negative t.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("time must be nonnegative")
-    decay = np.exp(-k_s * t)
-    f_0 = decay
-    f_t = p_t * (1.0 - decay)
-    if t.ndim == 0:
-        return float(f_0), float(f_t)
-    return f_0, f_t
+    f_0 = np.exp(-k_s * t)
+    return f_0, p_t * (1.0 - f_0)
 
 
-def corrected_weights(f_0: float, f_t: float) -> tuple[float, float]:
+def corrected_weights(f_0, f_t):
     """Survival-normalized mixture weights w_0 = f_0/(f_0+f_T), w_T = f_T/(f_0+f_T).
+
+    Takes fractions at one time or arrays of them, elementwise.
 
     Raises
     ------
     AllReacted
-        If f_0 + f_T <= WEIGHT_FLOOR (every pair has formed product).
+        If f_0 + f_T <= WEIGHT_FLOOR anywhere (every pair has formed
+        product), naming the first such total.
     """
     total = f_0 + f_t
-    if total <= WEIGHT_FLOOR:
+    reacted = np.ravel(total <= WEIGHT_FLOOR)
+    if reacted.any():
         raise AllReacted(
-            f"surviving fraction {total:.3e} at or below floor {WEIGHT_FLOOR:.1e}"
+            f"surviving fraction {np.ravel(total)[reacted.argmax()]:.3e} at or below floor {WEIGHT_FLOOR:.1e}"
         )
     return f_0 / total, f_t / total
 
 
-def kominis_weights(t: float, k_s: float) -> tuple[float, float]:
+def kominis_weights(t, k_s: float):
     """The disputed weights w_0 = e^{-k_S t}, w_T = 1 - e^{-k_S t}.
 
-    These ignore the triplet fraction p_T of the initial state and are
-    inconsistent with the kinetic scheme except at p_T = 1; they are kept
-    as the comparison target for the discrepancy checks.
+    These ignore the triplet fraction p_T of the initial state: they are
+    the survival fractions at p_T = 1, and are inconsistent with the
+    kinetic scheme except there. They are kept as the comparison target
+    for the discrepancy checks.
     """
-    if np.any(np.asarray(t) < 0.0):
-        raise ValueError("time must be nonnegative")
-    w_0 = np.exp(-k_s * np.asarray(t, dtype=float))
-    if w_0.ndim == 0:
-        return float(w_0), float(1.0 - w_0)
-    return w_0, 1.0 - w_0
+    return kinetic_fractions(t, 1.0, k_s)
 
 
 # scheme-name strings used by the CLI and the verification suite
 WEIGHT_SCHEMES = ("corrected", "kominis")
 
 
-def weights_at(t: float, mix: MixtureState, k_s: float, scheme: str) -> tuple[float, float]:
-    """Evaluate the selected weight scheme at time t."""
+def weights_at(t, mix: MixtureState, k_s: float, scheme: str):
+    """Evaluate the selected weight scheme at time t, or elementwise at an array of times."""
     if scheme == "corrected":
         f_0, f_t = kinetic_fractions(t, mix.p_t, k_s)
         return corrected_weights(f_0, f_t)

@@ -15,40 +15,37 @@ alternative normalized equation, and the discrepancy check passes
 exactly when the resulting divergence from route B is significantly
 nonzero, because a confirmed discrepancy is the expected outcome.
 
-All deviations are Frobenius distances at grid points; a check's
-tolerance scales as dt^4 when the fixed integration step is changed.
-Deviations between time derivatives scale with the rate, so they are
-judged against the tolerance times k_S; the verdicts then depend only
-on k_S t.
+Every route is the initial state's singlet-singlet, singlet-triplet and
+triplet-triplet blocks (:func:`~rpmix.integrator.split_blocks`), each
+scaled by one real factor, so each is a (T, 3) factor array: A in
+closed form (:func:`route_a`), B the integrator's ``Trajectory.factors``,
+and C (w_0, w_0, w_0 p_T + w_T). The blocks occupy disjoint entries, so
+the Frobenius distance between two routes follows exactly from their
+factors and the blocks' norms, and no check builds a matrix per
+snapshot, except the derivative part of the mixture identity, which
+evaluates the one-matrix right-hand side on the reconstructed state.
+A check's tolerance scales as dt^4 when the fixed integration step is
+changed. Deviations between time derivatives scale with the rate, so
+they are judged against the tolerance times k_S; the verdicts then
+depend only on k_S t.
 
-Route B is integrated once per scenario, by :func:`route_b`, and that
-one trajectory is shared by every check that judges it; each such check
-takes it as an argument and reads its grid from ``traj.times``. When the
-discrepancy check applies, :func:`run_scenario` integrates the
-normalized-kominis route with a second fixed-step
-:func:`~rpmix.integrator.integrate` call, and the discrepancy check
-takes that trajectory as an argument too. Both routes step three real
-block factors instead of a matrix (see :mod:`rpmix.integrator`), so a
-fixed point such as the pure singlet under route B is reproduced
-exactly at any step size. :func:`run_scenario` turns every library
-error into a failed check that names its cause; a failure of route B is
-recorded under each check that depends on it, and a failure of the
-kominis route under the discrepancy check.
+Route B is integrated once per scenario, by :func:`route_b`, and shared
+by every check that judges it; when the discrepancy check applies,
+:func:`run_scenario` integrates the normalized-kominis route next with
+the same fixed step. :func:`run_scenario` turns every library error into
+a failed check that names its cause; a failure of route B is recorded
+under each check that depends on it, and a failure of the kominis route
+under the discrepancy check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .integrator import (
-    BASE_DT_SCALE,
-    IntegrationError,
-    Trajectory,
-    analytic_jones_hore,
-    integrate,
-)
+from .integrator import BASE_DT_SCALE, IntegrationError, Trajectory, integrate, split_blocks
 from .kinetics import (
     P_FLOOR,
     AllReacted,
@@ -60,15 +57,15 @@ from .kinetics import (
     weights_at,
 )
 from .models import ModelKind, ModelSingular, RateParams, rhs_function
+
+# no check calls normalize; it stays bound here for perfbench/tracing.py to wrap
 from .spinspace import (
     DensityMatrix,
-    NormalizationSingular,
     electron_pair_space,
     frobenius_distance,
     normalize,
     preset_state,
     random_density_matrix,
-    singlet_probability,
     two_level_space,
 )
 
@@ -79,9 +76,7 @@ FD_TOL = 1e-6  # per unit k_S
 FORM_TOL = 1e-13  # per unit k_S
 
 # errors run_scenario records as a failed check instead of propagating
-CONTAINED_ERRORS = (
-    ModelSingular, IntegrationError, NormalizationSingular, AllReacted, MixtureInconsistent, ValueError,
-)
+CONTAINED_ERRORS = (ModelSingular, IntegrationError, AllReacted, MixtureInconsistent, ValueError)
 
 
 @dataclass(frozen=True)
@@ -195,15 +190,44 @@ def _max_over_grid(times, deviations) -> tuple[float, float]:
     return float(deviations[idx]), float(times[idx])
 
 
+def _factor_distance(rho_init: DensityMatrix, x, y) -> np.ndarray:
+    """Row-wise Frobenius distance of states given as block factors on rho_init's blocks.
+
+    The blocks occupy disjoint entries, so ||X - Y||_F^2 = sum_X (x_X - y_X)^2 n_X^2
+    holds exactly, n_X being the Frobenius norm of block X.
+    """
+    norms = np.array([np.linalg.norm(block) for block in split_blocks(rho_init)[0]])
+    return np.sqrt((np.subtract(x, y) ** 2) @ norms**2)
+
+
+def _mixture_factors(w_0, w_t, p_t: float) -> np.ndarray:
+    """Route C, the mixture w_0 rho_0 + w_T Q_T rho_0 Q_T / p_T, as block factors."""
+    return np.column_stack((w_0, w_0, w_0 * p_t + w_t))
+
+
+def route_a(rho_init: DensityMatrix, k_s: float, times) -> np.ndarray:
+    """Route A: the exact projection-replacement solution, normalized, as (T, 3) block factors.
+
+    With e = exp(-k_S t): a_SS = a_ST = 1 / (p_S + tau_0 / e), written as
+    e / (tau_0 + p_S e) so that nothing overflows, and tau = tau_0 / (tau_0 + p_S e).
+    At tau_0 = 0, the pure-singlet fixed point, the factors are constant.
+    """
+    _, p_s, tau0 = split_blocks(rho_init)
+    times = np.asarray(times, dtype=float)
+    if tau0 == 0.0:
+        return np.tile((1.0 / p_s, 1.0 / p_s, 0.0), (times.size, 1))
+    # past k_S t ~ 745 the exact e and a are below the smallest float, and round to 0
+    with np.errstate(under="ignore"):
+        e = np.exp(-k_s * times)
+        a = e / (tau0 + p_s * e)
+        return np.column_stack((a, a, tau0 / (tau0 + p_s * e)))
+
+
 def check_route_equivalence(
     rho_init: DensityMatrix, k_s: float, traj: Trajectory, dt: float | None = None
 ) -> CheckRecord:
-    """Normalized exact unnormalized solution vs route B, the integrated normalized flow."""
-    params = RateParams(k_s=k_s)
-    deviations = [
-        frobenius_distance(normalize(analytic_jones_hore(rho_init, params, t)), state)
-        for t, state in zip(traj.times, traj.stack)
-    ]
+    """Route A, the normalized exact unnormalized solution, vs route B, the integrated normalized flow."""
+    deviations = _factor_distance(rho_init, route_a(rho_init, k_s, traj.times), traj.factors)
     tol = _tolerance(k_s, dt)
     worst, t_at = _max_over_grid(traj.times, deviations)
     return CheckRecord("route-equivalence", worst, t_at, tol, worst <= tol)
@@ -219,21 +243,21 @@ def check_mixture_identity(
     """Kinetic-mixture reconstruction vs route B, the integrated normalized flow.
 
     Also compares the mixture's derivative against the normalized flow's
-    right-hand side at every grid point. With the corrected weights both
-    deviations stay at integration accuracy; with the disputed scheme
-    this check is expected to fail for 0 < p_T < 1. The states are
-    judged against the tolerance and the derivatives, which scale with
-    k_S, against tolerance * k_S.
+    right-hand side at every grid point; that part builds the
+    reconstructed matrix and evaluates rhs_function on it. With the
+    corrected weights both deviations stay at integration accuracy; with
+    the disputed scheme this check is expected to fail for 0 < p_T < 1.
+    The states are judged against the tolerance and the derivatives,
+    which scale with k_S, against tolerance * k_S.
     """
     flow = rhs_function(ModelKind.NORMALIZED_JONES_HORE, rho_init.space, RateParams(k_s=k_s))
     mix = mixture_from_initial(rho_init)
-    state_devs = []
-    rhs_devs = []
-    for t, state in zip(traj.times, traj.stack):
-        w = weights_at(t, mix, k_s, scheme)
-        recon = reconstruct(w, mix)
-        state_devs.append(frobenius_distance(recon, state))
-        rhs_devs.append(frobenius_distance(mixture_rhs(mix, w, k_s), flow(recon.matrix)))
+    weights = weights_at(traj.times, mix, k_s, scheme)
+    state_devs = _factor_distance(rho_init, _mixture_factors(*weights, mix.p_t), traj.factors)
+    rhs_devs = [
+        frobenius_distance(mixture_rhs(mix, w, k_s), flow(reconstruct(w, mix).matrix))
+        for w in zip(*weights)
+    ]
     tol = _tolerance(k_s, dt)
     rhs_tol = tol * k_s
     state_worst, t_state = _max_over_grid(traj.times, state_devs)
@@ -269,6 +293,10 @@ def check_kominis_discrepancy(
     times the integration tolerance) and the disputed reconstruction
     agrees with that trajectory, confirming that the two are the same
     dynamics.
+
+    The divergence p_S (w_0,corrected - w_0,kominis) rises to its peak
+    (1 - sqrt(p_T))^2 at k_S t* = ln(1 + 1/sqrt(p_T)) and falls after, so
+    it is judged by that peak, or by its value at t_end when t_end < t*.
     """
     mix = mixture_from_initial(rho_init)
     if not 0.0 < mix.p_t < 1.0:
@@ -278,20 +306,20 @@ def check_kominis_discrepancy(
     if not np.array_equal(alt_traj.times, traj.times):
         raise ValueError("the alternative-flow trajectory must share route B's grid")
 
-    p_corr, p_dis, frob_devs, alt_devs = np.empty((4, traj.times.size))
-    for i, (t, state) in enumerate(zip(traj.times, traj.stack)):
-        disputed = reconstruct(weights_at(t, mix, k_s, "kominis"), mix)
-        corrected = reconstruct(weights_at(t, mix, k_s, "corrected"), mix)
-        p_corr[i] = singlet_probability(corrected)
-        p_dis[i] = singlet_probability(disputed)
-        frob_devs[i] = frobenius_distance(disputed, state)
-        alt_devs[i] = frobenius_distance(disputed, alt_traj.stack[i])
+    w_corr, _ = weights_at(traj.times, mix, k_s, "corrected")
+    w_dis, w_dis_t = weights_at(traj.times, mix, k_s, "kominis")
+    curve = DivergenceCurve(traj.times, w_corr * mix.p_s, w_dis * mix.p_s)
+    disputed = _mixture_factors(w_dis, w_dis_t, mix.p_t)
+    max_frob = float(_factor_distance(rho_init, disputed, traj.factors).max())
+    max_alt = float(_factor_distance(rho_init, disputed, alt_traj.factors).max())
 
+    t_end = float(traj.times[-1])
+    t_peak = math.log1p(1.0 / math.sqrt(mix.p_t)) / k_s
+    if t_peak <= t_end:
+        max_p_diff, t_at = (1.0 - math.sqrt(mix.p_t)) ** 2, t_peak
+    else:
+        max_p_diff, t_at = float(curve.delta[-1]), t_end
     tol = _tolerance(k_s, dt)
-    curve = DivergenceCurve(traj.times, p_corr, p_dis)
-    max_p_diff, t_at = _max_over_grid(traj.times, np.abs(curve.delta))
-    max_frob, _ = _max_over_grid(traj.times, frob_devs)
-    max_alt, _ = _max_over_grid(traj.times, alt_devs)
     passed = max_p_diff >= DISCREPANCY_MARGIN * tol and max_alt <= tol
     record = CheckRecord(
         "kominis-discrepancy",
@@ -322,21 +350,15 @@ def check_weight_derivative(rho_init: DensityMatrix, k_s: float, t_samples=None)
         raise ValueError(f"weight-derivative check requires p_T > 0, got {mix.p_t:.6g}")
     if t_samples is None:
         t_samples = np.array([0.1, 0.5, 1.0, 2.0, 5.0]) / k_s
+    t_samples = np.asarray(t_samples, dtype=float)
     h = FD_STEP_SCALE / k_s
 
-    devs = []
-    form_gap = 0.0
-    for t in np.asarray(t_samples, dtype=float):
-        w = weights_at(t, mix, k_s, "corrected")
-        rho_nr = reconstruct(w, mix)
-        rate = weight_rate(w, rho_nr, mix, k_s)
-        kinetic_form = -k_s * w[0] * (w[1] + mix.p_t * w[0])
-        form_gap = max(form_gap, abs(kinetic_form - rate))
-        w_plus = weights_at(t + h, mix, k_s, "corrected")
-        w_minus = weights_at(t - h, mix, k_s, "corrected")
-        devs.append(abs(rate - (w_plus[0] - w_minus[0]) / (2.0 * h)))
-
-    worst, t_at = _max_over_grid(np.asarray(t_samples, dtype=float), devs)
+    w_0, w_t = weights_at(t_samples, mix, k_s, "corrected")
+    rates = np.array([weight_rate(w, reconstruct(w, mix), mix, k_s) for w in zip(w_0, w_t)])
+    form_gap = float(np.max(np.abs(-k_s * w_0 * (w_t + mix.p_t * w_0) - rates)))
+    w_plus, _ = weights_at(t_samples + h, mix, k_s, "corrected")
+    w_minus, _ = weights_at(t_samples - h, mix, k_s, "corrected")
+    worst, t_at = _max_over_grid(t_samples, np.abs(rates - (w_plus - w_minus) / (2.0 * h)))
     tol = FD_TOL * k_s
     return CheckRecord(
         "weight-derivative",
@@ -363,7 +385,7 @@ def check_kominis_singularity(
     except ModelSingular as exc:
         raised = True
         message = str(exc)
-    drift = max(frobenius_distance(state, rho_init) for state in traj.stack)
+    drift = float(_factor_distance(rho_init, traj.factors, traj.factors[0]).max())
     tol = _tolerance(k_s, dt)
     return CheckRecord(
         "kominis-singularity",

@@ -11,6 +11,7 @@ from rpmix.integrator import (
     analytic_haberkorn,
     analytic_jones_hore,
     integrate,
+    split_blocks,
 )
 from rpmix.models import ModelKind, ModelSingular, RateParams, block_rates, rhs_function
 from rpmix.spinspace import (
@@ -365,6 +366,44 @@ class TestTrajectoryStack:
             for state, row in zip(traj.states, traj.stack):
                 assert state.space is space
                 assert_bit_equal(state.matrix, row)
+
+    def test_factors_are_read_only(self):
+        traj = integrate(ModelKind.HABERKORN, random_density_matrix(SP4, 9), K1, self.GRID)
+        assert traj.factors.shape == (self.GRID.size, 3)
+        assert not traj.factors.flags.writeable
+        with pytest.raises(ValueError):
+            traj.factors[1, 0] = 0.0
+
+    @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
+    @pytest.mark.parametrize("space", SPACES, ids=lambda sp: f"d{sp.dim}")
+    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
+    def test_stack_is_the_factors_on_the_blocks(self, model, space, method):
+        # snapshot 0 is the caller's matrix; every later one is the factors times the split blocks
+        for m in step_states(space):
+            rho = DensityMatrix(space, m)
+            traj = integrate(model, rho, K1, self.GRID, method=method, dt=0.01)
+            blocks, _, _ = split_blocks(rho)
+            a_ss, a_st, tau = traj.factors.T[:, :, None, None]
+            rebuilt = (a_ss * blocks[0] + a_st * blocks[1] + tau * blocks[2]).view(complex)
+            assert_bit_equal(traj.stack[1:], rebuilt[1:])
+
+    def test_split_blocks_add_up_to_the_state(self):
+        for seed, space in enumerate(SPACES):
+            rho = random_density_matrix(space, seed)
+            blocks, p_s, tau0 = split_blocks(rho)
+            whole = (blocks[0] + blocks[1] + tau0 * blocks[2]).view(complex)
+            assert np.max(np.abs(whole - rho.matrix)) < 1e-15
+            assert p_s + tau0 == pytest.approx(1.0, abs=1e-15)
+            assert p_s == pytest.approx(float(np.diagonal(rho.matrix).real @ space.singlet_diag), abs=1e-16)
+
+    def test_trajectories_compare_by_identity(self):
+        # numpy fields make a field-wise == ambiguous; identity is what is left
+        rho = random_density_matrix(SP4, 9)
+        a, b = (integrate(ModelKind.HABERKORN, rho, K1, self.GRID) for _ in range(2))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+        assert a.observables == a.observables and a.observables != b.observables
+        assert len({a.observables, b.observables}) == 2
 
     def test_integrate_builds_no_density_matrix(self, monkeypatch):
         rho = random_density_matrix(SP4, 3)

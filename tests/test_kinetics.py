@@ -157,6 +157,19 @@ class TestWeights:
         with pytest.raises(AllReacted):
             corrected_weights(0.0, 0.0)
 
+    def test_all_reacted_on_arrays_names_the_first_total(self):
+        f0 = np.array([1.0, 0.5, 1e-301, 0.0])
+        with pytest.raises(AllReacted, match=r"^surviving fraction 1\.000e-301 at or below floor 1\.0e-300$"):
+            corrected_weights(f0, np.zeros(4))
+
+    @pytest.mark.parametrize("scheme", ["corrected", "kominis"])
+    def test_weights_at_over_an_array_is_the_scalar_call_per_time(self, scheme):
+        mix = mixture_from_initial(dm(SP2, np.diag([0.7, 0.3])))
+        times = np.linspace(0.0, 9.0, 37)
+        w_0, w_t = weights_at(times, mix, 1.3, scheme)
+        for t, a, b in zip(times, w_0, w_t):
+            assert (a, b) == weights_at(t, mix, 1.3, scheme)
+
     def test_kominis_time_zero(self):
         assert kominis_weights(0.0, 1.0) == (1.0, 0.0)
 

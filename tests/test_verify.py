@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rpmix import integrator, kinetics, models, verify
-from rpmix.integrator import IntegrationError
-from rpmix.kinetics import P_FLOOR, mixture_from_initial
-from rpmix.integrator import integrate
+from rpmix.integrator import IntegrationError, analytic_jones_hore, integrate, split_blocks
+from rpmix.kinetics import P_FLOOR, mixture_from_initial, reconstruct, weight_rate, weights_at
 from rpmix.models import ModelKind, RateParams
 from rpmix.spinspace import (
     PRESET_NAMES,
     DensityMatrix,
     electron_pair_space,
+    frobenius_distance,
     make_space,
+    normalize,
     preset_state,
     random_density_matrix,
+    singlet_probability,
     two_level_space,
 )
 from rpmix.verify import (
@@ -26,6 +28,7 @@ from rpmix.verify import (
     check_route_equivalence,
     check_weight_derivative,
     default_battery,
+    route_a,
     route_b,
     run_scenario,
     run_suite,
@@ -95,9 +98,6 @@ class TestMixtureIdentity:
 
     def test_singlet_probability_at_unit_time(self):
         # reconstruction gives p_S(1) = 0.5 * w_0(1) = e^-1 / (1 + e^-1)
-        from rpmix.kinetics import mixture_from_initial, reconstruct, weights_at
-        from rpmix.spinspace import singlet_probability
-
         mix = mixture_from_initial(EQUAL_MIX)
         w = weights_at(1.0, mix, 1.0, "corrected")
         p = singlet_probability(reconstruct(w, mix))
@@ -360,14 +360,15 @@ class TestRouteFailures:
 
 
 class TestContainedErrors:
-    def test_floors_become_failed_checks_naming_the_cause(self):
+    def test_survival_floor_fails_only_the_mixture_check(self):
         # the normalized-jh fixed point makes route B exact at any step, so a
-        # coarse dt reaches k_S t = 800, where both survival floors are crossed
+        # coarse dt reaches k_S t = 800, where the kinetic survival fraction is
+        # below its floor; route A divides by no survival trace, so it agrees
         scenario = Scenario(label="reacted", rho_init=PURE_S, t_end=800.0, n_snapshots=2, dt=1.0)
         records = {c.name: c for c in run_scenario(scenario).checks}
-        assert not records["route-equivalence"].passed
-        assert "at or below floor" in records["route-equivalence"].error
-        assert "normalized state undefined" in records["route-equivalence"].error
+        assert records["route-equivalence"].passed
+        assert records["route-equivalence"].error is None
+        assert records["route-equivalence"].max_deviation < 1e-15
         assert not records["mixture-identity"].passed
         assert "surviving fraction" in records["mixture-identity"].error
         assert records["kominis-singularity"].passed
@@ -471,3 +472,180 @@ class TestRateScale:
             want = [(check.name, check.passed) for check in run_scenario(base, scheme).checks]
             got = [(check.name, check.passed) for check in run_scenario(scaled, scheme).checks]
             assert got == want, scheme
+
+
+def assemble(factors, blocks):
+    """The (T, d, d) states that (T, 3) block factors scale the split blocks into."""
+    a_ss, a_st, tau = np.asarray(factors).T[:, :, None, None]
+    return (a_ss * blocks[0] + a_st * blocks[1] + tau * blocks[2]).view(complex)
+
+
+class TestBlockFactors:
+    @pytest.mark.parametrize(
+        "space",
+        [SP2, SP4, make_space(4, (0, 2)), make_space(8, (0,)), SP8],
+        ids=lambda sp: f"d{sp.dim}-s{len(sp.singlet_indices)}",
+    )
+    def test_factor_distance_is_the_frobenius_distance(self, space):
+        rng = np.random.default_rng([space.dim, len(space.singlet_indices)])
+        for seed in range(5):
+            rho = random_density_matrix(space, seed)
+            blocks, _, _ = split_blocks(rho)
+            x, y = rng.uniform(-2.0, 2.0, (2, 9, 3))
+            want = np.linalg.norm(assemble(x, blocks) - assemble(y, blocks), axis=(1, 2))
+            np.testing.assert_allclose(verify._factor_distance(rho, x, y), want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "rho",
+        [PURE_S, PURE_T, EQUAL_MIX, preset_state(SP8, "pure-singlet"), preset_state(SP8, "pure-triplet")],
+        ids=["pT-0", "pS-0", "mixed", "d8-pT-0", "d8-pS-0"],
+    )
+    def test_route_a_stays_finite_far_past_the_old_floor(self, rho):
+        # out to k_S t = 1e4: e^{k_S t} would overflow, and at tau_0 = 0 a naive
+        # form meets 0 * inf or 0 / 0; underflow to 0 is exact rounding here
+        times = np.linspace(0.0, 1.0e4, 201)
+        with np.errstate(all="raise"):
+            factors = route_a(rho, 1.0, times)
+        assert factors.shape == (times.size, 3) and np.isfinite(factors).all()
+        mix = mixture_from_initial(rho)
+        assert factors[-1, 2] == (1.0 if mix.p_t > 0.0 else 0.0)
+        if mix.p_t == 0.0:
+            assert np.all(factors[:, :2] == 1.0)
+        else:
+            assert factors[-1, 0] == factors[-1, 1] == 0.0
+
+    def test_route_a_is_the_normalized_exact_solution(self):
+        for seed, space in enumerate((SP2, SP4, SP8)):
+            rho = random_density_matrix(space, seed)
+            blocks, _, _ = split_blocks(rho)
+            got = assemble(route_a(rho, 1.3, GRID), blocks)
+            for t, state in zip(GRID, got):
+                want = normalize(analytic_jones_hore(rho, RateParams(k_s=1.3), t)).matrix
+                assert np.max(np.abs(state - want)) < 1e-15
+
+
+def outcome(fn):
+    """fn's value, or the message of the library error it raised."""
+    try:
+        return fn()
+    except verify.CONTAINED_ERRORS as exc:
+        return str(exc)
+
+
+def matrix_route_equivalence(rho, k_s, traj):
+    params = RateParams(k_s=k_s)
+    return max(
+        frobenius_distance(normalize(analytic_jones_hore(rho, params, t)), state)
+        for t, state in zip(traj.times, traj.stack)
+    )
+
+
+def matrix_mixture_states(rho, k_s, traj, scheme):
+    mix = mixture_from_initial(rho)
+    return max(
+        frobenius_distance(reconstruct(weights_at(t, mix, k_s, scheme), mix), state)
+        for t, state in zip(traj.times, traj.stack)
+    )
+
+
+def matrix_discrepancy(rho, k_s, traj, alt):
+    mix = mixture_from_initial(rho)
+    p_corr, p_dis, frob, agreement = [], [], [], []
+    for t, state, alt_state in zip(traj.times, traj.stack, alt.stack):
+        disputed = reconstruct(weights_at(t, mix, k_s, "kominis"), mix)
+        p_corr.append(singlet_probability(reconstruct(weights_at(t, mix, k_s, "corrected"), mix)))
+        p_dis.append(singlet_probability(disputed))
+        frob.append(frobenius_distance(disputed, state))
+        agreement.append(frobenius_distance(disputed, alt_state))
+    return np.array(p_corr), np.array(p_dis), max(frob), max(agreement)
+
+
+def matrix_weight_derivative(rho, k_s):
+    mix = mixture_from_initial(rho)
+    h = verify.FD_STEP_SCALE / k_s
+    devs, gaps = [], []
+    for t in np.array([0.1, 0.5, 1.0, 2.0, 5.0]) / k_s:
+        w = weights_at(t, mix, k_s, "corrected")
+        rate = weight_rate(w, reconstruct(w, mix), mix, k_s)
+        gaps.append(abs(-k_s * w[0] * (w[1] + mix.p_t * w[0]) - rate))
+        w_plus, w_minus = (weights_at(t + dt, mix, k_s, "corrected")[0] for dt in (h, -h))
+        devs.append(abs(rate - (w_plus - w_minus) / (2.0 * h)))
+    return max(devs), max(gaps)
+
+
+class TestMatchesMatrixLoops:
+    """Every deviation on factors matches the per-snapshot matrix loops it replaced."""
+
+    @pytest.mark.parametrize("index", range(10), ids=[s.label for s in default_battery()])
+    def test_default_battery_under_both_schemes(self, index):
+        scenario = default_battery()[index]
+        rho, k_s = scenario.rho_init, scenario.k_s
+        traj = route_b(rho, k_s, scenario.grid, None)
+        record = check_route_equivalence(rho, k_s, traj)
+        assert abs(record.max_deviation - matrix_route_equivalence(rho, k_s, traj)) <= 1e-15
+        for scheme in ("corrected", "kominis"):
+            record = outcome(lambda: check_mixture_identity(rho, k_s, traj, None, scheme))
+            want = outcome(lambda: matrix_mixture_states(rho, k_s, traj, scheme))
+            if isinstance(want, str):
+                assert record == want
+            else:
+                assert abs(record.details["state_deviation"] - want) <= 1e-15
+        p_t = mixture_from_initial(rho).p_t
+        if p_t > P_FLOOR:
+            record = check_weight_derivative(rho, k_s)
+            fd_deviation, form_gap = matrix_weight_derivative(rho, k_s)
+            assert abs(record.max_deviation - fd_deviation) <= 1e-15
+            assert abs(record.details["form_disagreement"] - form_gap) <= 1e-15
+        if P_FLOOR < p_t < 1.0 - P_FLOOR:
+            alt = kominis_route(rho, k_s, scenario.grid)
+            record, curve = check_kominis_discrepancy(rho, k_s, traj, alt)
+            p_corr, p_dis, frob, agreement = matrix_discrepancy(rho, k_s, traj, alt)
+            assert np.max(np.abs(curve.p_singlet_corrected - p_corr)) <= 1e-15
+            assert np.max(np.abs(curve.p_singlet_kominis - p_dis)) <= 1e-15
+            assert abs(record.details["max_frobenius_deviation"] - frob) <= 1e-15
+            assert abs(record.details["alternative_flow_agreement"] - agreement) <= 1e-15
+        elif p_t <= P_FLOOR:
+            record = check_kominis_singularity(rho, k_s, traj)
+            drift = max(frobenius_distance(state, rho) for state in traj.stack)
+            assert abs(record.details["regular_flow_drift"] - drift) <= 1e-15
+
+
+class TestDiscrepancySupremum:
+    @pytest.mark.parametrize("p_t", [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99])
+    def test_peak_matches_a_dense_scan(self, p_t):
+        mix = mixture_from_initial(dm(np.diag([1.0 - p_t, p_t])))
+        times = np.linspace(0.0, 12.0, 200_001)
+        gap = mix.p_s * (weights_at(times, mix, 1.0, "corrected")[0] - weights_at(times, mix, 1.0, "kominis")[0])
+        peak = int(np.argmax(gap))
+        assert abs(gap[peak] - (1.0 - math.sqrt(p_t)) ** 2) < 1e-8
+        assert abs(times[peak] - math.log1p(1.0 / math.sqrt(p_t))) < 1e-4
+
+    def test_long_coarse_grid_judges_the_peak(self):
+        # the two grid points, t = 0 and k_S t = 100, both see a gap below 1e-43
+        scenario = Scenario(label="coarse", rho_init=EQUAL_MIX, t_end=100.0, n_snapshots=2)
+        report = run_scenario(scenario)
+        assert report.all_passed, [c.to_dict() for c in report.checks if not c.passed]
+        record = next(c for c in report.checks if c.name == "kominis-discrepancy")
+        assert record.max_deviation == pytest.approx((1.0 - math.sqrt(0.5)) ** 2, abs=1e-15)
+        assert record.t_at_max == pytest.approx(math.log1p(math.sqrt(2.0)), abs=1e-15)
+        assert np.max(report.divergence.delta) < 1e-43
+
+    @pytest.mark.parametrize("n_snapshots", [2, 3, 7, 51])
+    def test_verdict_and_value_do_not_depend_on_the_grid(self, n_snapshots):
+        grid = np.linspace(0.0, 4.0, n_snapshots)
+        record, curve = check_kominis_discrepancy(
+            EQUAL_MIX, 1.0, b(EQUAL_MIX, grid), kominis_route(EQUAL_MIX, grid=grid)
+        )
+        assert record.passed
+        assert record.max_deviation == (1.0 - math.sqrt(0.5)) ** 2
+        assert record.t_at_max == math.log1p(1.0 / math.sqrt(0.5))
+        assert np.all(curve.delta <= record.max_deviation)
+
+    def test_short_horizon_judges_the_end_point(self):
+        # k_S t* = 0.88 for p_T = 1/2: on [0, 0.5] the gap still rises
+        grid = np.linspace(0.0, 0.5, 6)
+        record, curve = check_kominis_discrepancy(
+            EQUAL_MIX, 1.0, b(EQUAL_MIX, grid), kominis_route(EQUAL_MIX, grid=grid)
+        )
+        assert record.max_deviation == curve.delta[-1] == np.max(curve.delta)
+        assert record.t_at_max == 0.5
